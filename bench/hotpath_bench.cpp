@@ -414,14 +414,14 @@ BENCHMARK(BM_ShardCampaign)
 
 // Wall-clock of the registry's hetero-cost-mix campaign (C-PoS + PoW +
 // selfish-chain — a ~30x per-step cost spread across three cells) under
-// the static planner versus the cost-aware scheduler, on the stealing
-// thread pool and the demand-driven shard backend.  The static arm is the
-// true coarse planner this PR replaced: one cell-granular chunk per cell
-// dispatched in grid order, so the whole campaign's tail is the most
-// expensive cell on one worker.  tools/compare_hotpath_bench.py derives
-// its --hetero-speedup floor from the static/cost ratio WITHIN one run
-// (machine speed cancels); the floor only arms on runners with >= 4 CPUs,
-// where the parallelism the scheduler unlocks is physically available.
+// a static planner versus the cost-aware scheduler, on the thread pool and
+// the demand-driven shard backend.  The static arm is the coarse planner:
+// chunk_replications = replications, one cell-granular chunk per cell, so
+// the whole campaign's tail is the most expensive cell on one worker.
+// tools/compare_hotpath_bench.py derives its --hetero-speedup floor from
+// the static/cost ratio WITHIN one run (machine speed cancels); the floor
+// only arms on runners with >= 4 CPUs, where the parallelism the
+// scheduler unlocks is physically available.
 //
 // Args: (mode 0 = pool / 1 = shard, workers, policy 0 = static / 1 = cost).
 void BM_HeterogeneousCampaign(benchmark::State& bench_state) {
@@ -436,12 +436,7 @@ void BM_HeterogeneousCampaign(benchmark::State& bench_state) {
   options.backend =
       shard_mode ? static_cast<const core::ExecutionBackend*>(&sharded)
                  : &pool;
-  if (cost_aware) {
-    options.schedule = sim::SchedulePolicy::kCostAware;
-  } else {
-    options.schedule = sim::SchedulePolicy::kStatic;
-    options.chunk_replications = spec.replications;
-  }
+  if (!cost_aware) options.chunk_replications = spec.replications;
   const sim::CampaignRunner runner(options);
   for (auto _ : bench_state) {
     const auto outcomes = runner.Run(spec, {});

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "support/env.hpp"
 #include "support/thread_pool.hpp"
 
@@ -13,20 +12,17 @@ void SerialBackend::Execute(std::vector<std::function<void()>> jobs) const {
   for (auto& job : jobs) job();
 }
 
-ThreadPoolBackend::ThreadPoolBackend(unsigned threads, bool stealing)
-    : threads_(threads != 0 ? threads : EnvThreads()), stealing_(stealing) {}
+ThreadPoolBackend::ThreadPoolBackend(unsigned threads)
+    : threads_(threads != 0 ? threads : EnvThreads()) {}
 
 unsigned ThreadPoolBackend::Concurrency() const { return threads_; }
 
 void ThreadPoolBackend::Execute(
     std::vector<std::function<void()>> jobs) const {
-  const std::uint64_t steals =
-      RunStealingBatch(threads_, std::move(jobs), stealing_);
-  if (steals != 0) {
-    static auto& steal_count =
-        obs::MetricsRegistry::Global().GetCounter("campaign.steal_count");
-    steal_count.Add(steals);
-  }
+  if (jobs.empty()) return;
+  ThreadPool pool(threads_);
+  pool.SubmitBatch(std::move(jobs));
+  pool.Wait();
 }
 
 ShardBackend::ShardBackend(unsigned shards) : shards_(shards) {

@@ -48,8 +48,9 @@ class ExecutionBackend {
   virtual unsigned Concurrency() const = 0;
 
   /// Runs every job to completion before returning.  Jobs may execute in
-  /// any order and on any worker; they must not throw (simulation errors
-  /// are raised when jobs are built, before anything is scheduled).
+  /// any order and on any worker.  If a job throws, jobs not yet started
+  /// are skipped, the running ones finish, and the first exception is
+  /// rethrown here on the calling thread.
   virtual void Execute(std::vector<std::function<void()>> jobs) const = 0;
 
   /// Non-zero when this backend runs jobs in forked worker PROCESSES and
@@ -71,21 +72,15 @@ class SerialBackend final : public ExecutionBackend {
   void Execute(std::vector<std::function<void()>> jobs) const override;
 };
 
-/// Runs jobs across a batch of worker threads with per-worker deques and
-/// work stealing (support::RunStealingBatch): job i is dealt onto deque
-/// i % threads, each worker drains its own deque front-to-back, and a
-/// worker whose deque runs dry steals from the back of the most loaded
-/// sibling — so a worker that finishes a cheap cell's chunks immediately
-/// picks up an expensive cell's remaining ones.  Successful steals are
-/// counted into the `campaign.steal_count` metric.  Fresh worker threads
-/// per Execute keep the backend re-entrant and the workers' thread-local
-/// arenas scoped to one campaign.
+/// Runs jobs on a support::ThreadPool: one shared FIFO queue in
+/// submission order, so a caller that submits longest jobs first gets
+/// list scheduling — whichever worker frees up takes the next job.  A
+/// fresh pool per Execute keeps the backend re-entrant and the workers'
+/// thread-local arenas scoped to one batch.
 class ThreadPoolBackend final : public ExecutionBackend {
  public:
-  /// `threads` = 0 means EnvThreads().  `stealing` false pins every job to
-  /// the worker it was dealt to — the static-dispatch control arm the
-  /// scheduler benchmarks compare against; output is identical either way.
-  explicit ThreadPoolBackend(unsigned threads = 0, bool stealing = true);
+  /// `threads` = 0 means EnvThreads().
+  explicit ThreadPoolBackend(unsigned threads = 0);
 
   std::string name() const override { return "threadpool"; }
   unsigned Concurrency() const override;
@@ -93,7 +88,6 @@ class ThreadPoolBackend final : public ExecutionBackend {
 
  private:
   unsigned threads_;
-  bool stealing_;
 };
 
 /// Runs jobs across N forked worker PROCESSES ("shard:N" on the CLI).

@@ -364,7 +364,7 @@ SimulationResult MonteCarloEngine::Run(
   }
   // Fail fast on the calling thread: construct the game state once here so
   // invalid stake vectors (empty, negative, zero/NaN sum) throw before any
-  // job is scheduled — backend jobs must not throw (execution_backend.hpp).
+  // job is scheduled rather than from every worker at once.
   {
     const protocol::StakeState probe(initial_stakes,
                                      config_.withhold_period);

@@ -26,7 +26,7 @@ namespace fairchain::core {
 #ifdef _WIN32
 
 void RunSharded(unsigned, std::size_t, const ShardComputeFn&,
-                const ShardConsumeFn&, const ShardOptions&) {
+                const ShardConsumeFn&, const std::vector<std::size_t>&) {
   throw std::runtime_error(
       "RunSharded: the process-sharded backend requires fork/pipe (POSIX)");
 }
@@ -236,8 +236,7 @@ bool SendGrant(ShardStream& stream, std::uint64_t index) {
 // delivered are NOT re-granted — the run fails loudly after the other
 // workers finish draining the queue.
 void ReadShardStream(ShardStream& stream, unsigned shard, GrantQueue& queue,
-                     std::size_t chunk_count, const ShardConsumeFn& consume,
-                     const ShardOptions& options) {
+                     std::size_t chunk_count, const ShardConsumeFn& consume) {
   while (true) {
     std::uint64_t magic = 0;
     const std::size_t got = ReadAll(stream.data_fd, &magic, sizeof(magic));
@@ -355,26 +354,23 @@ void ReadShardStream(ShardStream& stream, unsigned shard, GrantQueue& queue,
                      std::to_string(index) + ")";
       return;
     }
+    ShardChunkStats stats;
+    stats.index = static_cast<std::size_t>(index);
+    stats.shard = shard;
+    stats.busy_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - stream.grant_time)
+            .count());
+    stats.grant_ns = stream.last_grant_ns;
     try {
       obs::Span consume_span("shard.consume", index);
-      consume(static_cast<std::size_t>(index), std::move(payload));
+      consume(stats, std::move(payload));
     } catch (const std::exception& error) {
       stream.error = std::string("consume failed: ") + error.what();
       return;
     }
     stream.has_outstanding = false;
     ++stream.received;
-    if (options.on_chunk) {
-      ShardChunkStats stats;
-      stats.index = static_cast<std::size_t>(index);
-      stats.shard = shard;
-      stats.busy_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - stream.grant_time)
-              .count());
-      stats.grant_ns = stream.last_grant_ns;
-      options.on_chunk(stats);
-    }
   }
 }
 
@@ -382,32 +378,27 @@ void ReadShardStream(ShardStream& stream, unsigned shard, GrantQueue& queue,
 
 void RunSharded(unsigned shard_count, std::size_t chunk_count,
                 const ShardComputeFn& compute, const ShardConsumeFn& consume,
-                const ShardOptions& options) {
+                const std::vector<std::size_t>& grant_order) {
   if (shard_count == 0) {
     throw std::invalid_argument("RunSharded: shard_count must be >= 1");
   }
   if (chunk_count == 0) return;
 
-  GrantQueue queue;
-  if (options.grant_order.empty()) {
-    queue.order.reserve(chunk_count);
-    for (std::size_t j = 0; j < chunk_count; ++j) queue.order.push_back(j);
-  } else {
-    if (options.grant_order.size() != chunk_count) {
-      throw std::invalid_argument(
-          "RunSharded: grant_order must cover every chunk exactly once");
-    }
-    std::vector<bool> seen(chunk_count, false);
-    for (const std::size_t j : options.grant_order) {
-      if (j >= chunk_count || seen[j]) {
-        throw std::invalid_argument(
-            "RunSharded: grant_order must be a permutation of the chunk "
-            "indices");
-      }
-      seen[j] = true;
-    }
-    queue.order = options.grant_order;
+  if (grant_order.size() != chunk_count) {
+    throw std::invalid_argument(
+        "RunSharded: grant_order must cover every chunk exactly once");
   }
+  std::vector<bool> seen(chunk_count, false);
+  for (const std::size_t j : grant_order) {
+    if (j >= chunk_count || seen[j]) {
+      throw std::invalid_argument(
+          "RunSharded: grant_order must be a permutation of the chunk "
+          "indices");
+    }
+    seen[j] = true;
+  }
+  GrantQueue queue;
+  queue.order = grant_order;
 
   // All pipes exist before the first fork so every worker can close every
   // descriptor that is not its own pair.
@@ -500,9 +491,8 @@ void RunSharded(unsigned shard_count, std::size_t chunk_count,
   for (unsigned s = 0; s < shard_count; ++s) {
     if (!streams[s].error.empty()) continue;
     readers.emplace_back(
-        [&streams, s, &queue, chunk_count, &consume, &options] {
-          ReadShardStream(streams[s], s, queue, chunk_count, consume,
-                          options);
+        [&streams, s, &queue, chunk_count, &consume] {
+          ReadShardStream(streams[s], s, queue, chunk_count, consume);
         });
   }
   for (std::thread& reader : readers) reader.join();

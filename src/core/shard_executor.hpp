@@ -5,9 +5,9 @@
 // flat list of `chunk_count` independent chunks (in the campaign runner:
 // one (cell, replication-range) pair each).  Chunk ownership is
 // DEMAND-DRIVEN: the parent holds one grant queue (the caller's
-// `grant_order`, default ascending index) and hands out one chunk per
-// worker at a time — each worker is primed with one grant at fork, and
-// earns its next grant by finishing the previous chunk.  A worker that
+// `grant_order`) and hands out one chunk per worker at a time — each
+// worker is primed with one grant at fork, and earns its next grant by
+// finishing the previous chunk.  A worker that
 // drains cheap chunks therefore immediately absorbs the queue's expensive
 // tail instead of idling behind a static j%N partition.  WHICH worker
 // computes a chunk is timing-dependent; WHAT every chunk computes and
@@ -78,45 +78,34 @@ namespace fairchain::core {
 /// parent.
 using ShardComputeFn = std::function<std::vector<double>(std::size_t)>;
 
-/// Consumes one chunk's payload in the parent.  Called from per-worker
-/// reader threads — concurrently across shards — so it must be
-/// thread-safe.  Exceptions abort the run and are rethrown by the parent.
-using ShardConsumeFn =
-    std::function<void(std::size_t, std::vector<double>&&)>;
-
-/// Parent-side observation of one consumed chunk, for scheduler metrics.
+/// Parent-side observation of one received chunk, for scheduler metrics.
 struct ShardChunkStats {
   std::size_t index = 0;       ///< chunk index
   unsigned shard = 0;          ///< worker that computed it
-  std::uint64_t busy_ns = 0;   ///< grant written -> payload fully consumed
+  std::uint64_t busy_ns = 0;   ///< grant written -> payload fully read
   std::uint64_t grant_ns = 0;  ///< request read -> grant written (0 for
                                ///< the primed first grant)
 };
 
-/// Scheduling knobs for RunSharded.  Defaults reproduce plain ascending
-/// grant order with no observation.
-struct ShardOptions {
-  /// Order chunks are granted in; must be a permutation of
-  /// [0, chunk_count).  Empty = ascending index.  The campaign runner
-  /// passes longest-processing-time order (descending modeled cost) so
-  /// the expensive chunks start first and the cheap tail levels the
-  /// finish.
-  std::vector<std::size_t> grant_order;
-  /// Called from the reader threads (concurrently across shards) after
-  /// each chunk is consumed.  Null = no observation.
-  std::function<void(const ShardChunkStats&)> on_chunk;
-};
+/// Consumes one chunk's payload in the parent.  Called from per-worker
+/// reader threads — concurrently across shards — so it must be
+/// thread-safe.  Exceptions abort the run and are rethrown by the parent.
+using ShardConsumeFn =
+    std::function<void(const ShardChunkStats&, std::vector<double>&&)>;
 
 /// Executes chunks [0, chunk_count) across `shard_count` forked worker
 /// processes via the demand-driven grant protocol and feeds every payload
-/// to `consume`.  Returns only when all payloads are consumed, all
-/// workers are reaped, and the framing was valid end to end; throws
+/// to `consume`.  Chunks are granted in `grant_order`, a permutation of
+/// [0, chunk_count); the campaign runner passes longest-processing-time
+/// order so the expensive chunks start first.
+/// Returns only when all payloads are consumed, all workers are reaped,
+/// and the framing was valid end to end; throws
 /// std::runtime_error otherwise (dead worker, torn message, bad framing,
 /// worker-side exception) — after the surviving workers have drained
 /// every still-grantable chunk.  POSIX only.
 void RunSharded(unsigned shard_count, std::size_t chunk_count,
                 const ShardComputeFn& compute, const ShardConsumeFn& consume,
-                const ShardOptions& options = {});
+                const std::vector<std::size_t>& grant_order);
 
 }  // namespace fairchain::core
 

@@ -47,6 +47,11 @@ namespace fairchain::protocol::lanes {
 #if FAIRCHAIN_LANES_AVX512
 namespace {
 
+// Gathers and narrowing converts take this explicit all-lanes mask with a
+// zero source: same bits as the unmasked intrinsics, whose
+// _mm512_undefined_* pass-through trips GCC 12's -Wmaybe-uninitialized.
+constexpr __mmask8 kAll = 0xFF;
+
 __mmask8 LiveMask(std::size_t lanes_left) {
   return lanes_left >= 8 ? static_cast<__mmask8>(0xFF)
                          : static_cast<__mmask8>((1u << lanes_left) - 1u);
@@ -171,8 +176,10 @@ void RunGeneralBatch(LaneStakeState& block, double w,
         const __m512i bitv = _mm512_set1_epi64(static_cast<long long>(bit));
         const __m512i probe_a = _mm512_add_epi64(idx_a, bitv);
         const __m512i probe_b = _mm512_add_epi64(idx_b, bitv);
-        const __m512d t_a = _mm512_i64gather_pd(probe_a, tree, 8);
-        const __m512d t_b = _mm512_i64gather_pd(probe_b, tree, 8);
+        const __m512d t_a = _mm512_mask_i64gather_pd(
+            _mm512_setzero_pd(), kAll, probe_a, tree, 8);
+        const __m512d t_b = _mm512_mask_i64gather_pd(
+            _mm512_setzero_pd(), kAll, probe_b, tree, 8);
         const __mmask8 take_a = _mm512_cmp_pd_mask(t_a, rem_a, _CMP_LE_OQ);
         const __mmask8 take_b = _mm512_cmp_pd_mask(t_b, rem_b, _CMP_LE_OQ);
         idx_a = _mm512_mask_mov_epi64(idx_a, take_a, probe_a);
@@ -181,9 +188,9 @@ void RunGeneralBatch(LaneStakeState& block, double w,
         rem_b = _mm512_mask_sub_pd(rem_b, take_b, rem_b, t_b);
       }
       _mm256_mask_storeu_epi32(wa + base, live,
-                               _mm512_cvtepi64_epi32(idx_a));
+                               _mm512_maskz_cvtepi64_epi32(kAll, idx_a));
       _mm256_mask_storeu_epi32(wb + base, live,
-                               _mm512_cvtepi64_epi32(idx_b));
+                               _mm512_maskz_cvtepi64_epi32(kAll, idx_b));
     }
     credit(wa);
     credit(wb);

@@ -6,9 +6,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <numeric>
 #include <stdexcept>
 
@@ -27,7 +27,18 @@ namespace fairchain::sim {
 
 namespace {
 
-// Everything one cell needs while in flight on the pool.
+// A cell's result matrices, each laid out [row * reps + rep]: one λ row
+// per checkpoint, then the plane rows — population planes for incentive
+// cells with population metrics, chain planes for chain cells (never both:
+// chain cells force population_metrics off).  The parent's cell and a
+// shard worker's scratch state are both a CellMatrices.
+struct CellMatrices {
+  std::vector<double> lambdas;
+  std::vector<double> population;  // PopulationMatrixSize layout, or empty
+  std::vector<double> chain;       // ChainMatrixSize layout, or empty
+};
+
+// Everything one cell needs while in flight.
 struct CellExecution {
   CampaignCell cell;
   core::SimulationConfig config;
@@ -39,14 +50,100 @@ struct CellExecution {
   chain::ChainGameSpec game;
   std::string protocol_name;  // model->name(), or the chain dynamics name
   std::vector<double> stakes;
-  std::vector<double> lambdas;      // [checkpoint * reps + rep]
-  std::vector<double> population;   // PopulationMatrixSize layout (or empty)
-  std::vector<double> chain_matrix; // ChainMatrixSize layout (or empty)
-  std::once_flag allocate_once;  // matrices allocated by the first chunk
+  CellMatrices matrices;  // allocated by the cell's first chunk
+  std::once_flag allocate_once;
   std::atomic<std::size_t> remaining_chunks{0};
   core::SimulationResult result;
   bool reduced = false;
 };
+
+CellMatrices AllocateMatrices(const CellExecution& execution) {
+  const core::SimulationConfig& config = execution.config;
+  CellMatrices matrices;
+  matrices.lambdas.assign(config.checkpoints.size() * config.replications,
+                          0.0);
+  if (config.population_metrics) {
+    matrices.population.assign(core::PopulationMatrixSize(config), 0.0);
+  }
+  if (execution.chain) {
+    matrices.chain.assign(chain::ChainMatrixSize(config), 0.0);
+  }
+  return matrices;
+}
+
+// The chunk kernel: replications [job.begin, job.end) of the cell into
+// `out`.  The only place a chunk chooses between incentive and chain
+// physics.  Errors come back naming the chunk and backend, except
+// std::bad_alloc, which passes through untouched (building the message
+// could fail the same way).
+void RunChunk(const CellExecution& execution, const ChunkJob& job,
+              const std::string& backend, CellMatrices& out) {
+  obs::Span chunk_span("campaign.chunk", job.cell);
+  try {
+    if (execution.chain) {
+      chain::RunChainReplicationRange(execution.game, execution.config,
+                                      job.begin, job.end, out.lambdas.data(),
+                                      out.chain.data());
+    } else {
+      core::RunReplicationRange(
+          *execution.model, execution.stakes, execution.config, job.begin,
+          job.end, out.lambdas.data(),
+          out.population.empty() ? nullptr : out.population.data());
+    }
+  } catch (const std::bad_alloc&) {
+    throw;
+  } catch (const std::exception& error) {
+    throw std::runtime_error(
+        "campaign cell " + std::to_string(job.cell) + " replications [" +
+        std::to_string(job.begin) + ", " + std::to_string(job.end) +
+        ") on backend " + backend + ": " + error.what());
+  }
+}
+
+// Visits every row of `cell` in payload order: the λ rows, then the
+// plane rows.  Together with PackChunk / UnpackChunk below, the only code
+// that knows the shard payload layout.
+template <typename Matrices, typename Visit>
+void ForEachRow(Matrices& cell, std::size_t reps, Visit&& visit) {
+  for (auto* rows : {&cell.lambdas, &cell.population, &cell.chain}) {
+    for (std::size_t offset = 0; offset < rows->size(); offset += reps) {
+      visit(rows->data() + offset);
+    }
+  }
+}
+
+std::size_t PayloadSize(const CellMatrices& matrices, std::size_t reps,
+                        const ChunkJob& job) {
+  std::size_t rows = 0;
+  ForEachRow(matrices, reps, [&rows](const double*) { ++rows; });
+  return rows * (job.end - job.begin);
+}
+
+// The shard payload of `job`: the [begin, end) columns of every row.
+std::vector<double> PackChunk(const CellMatrices& matrices, std::size_t reps,
+                              const ChunkJob& job) {
+  std::vector<double> payload;
+  payload.reserve(PayloadSize(matrices, reps, job));
+  ForEachRow(matrices, reps, [&](const double* row) {
+    payload.insert(payload.end(), row + job.begin, row + job.end);
+  });
+  return payload;
+}
+
+void UnpackChunk(const std::vector<double>& payload, const ChunkJob& job,
+                 std::size_t reps, CellMatrices& matrices) {
+  if (payload.size() != PayloadSize(matrices, reps, job)) {
+    throw std::runtime_error(
+        "campaign shard payload size mismatch for cell " +
+        std::to_string(job.cell));
+  }
+  const std::size_t span = job.end - job.begin;
+  const double* source = payload.data();
+  ForEachRow(matrices, reps, [&](double* row) {
+    std::copy(source, source + span, row + job.begin);
+    source += span;
+  });
+}
 
 void EmitCellRows(const ScenarioSpec& spec, const CellExecution& execution,
                   const std::vector<ResultSink*>& sinks) {
@@ -127,18 +224,6 @@ std::vector<std::size_t> LptOrder(const std::vector<ChunkJob>& jobs) {
             });
   return order;
 }
-
-// Full per-cell matrices a forked shard worker computes into; reused
-// across the worker's consecutive chunks of one cell.  Under LPT grant
-// order a worker's consecutive chunks usually belong to the same
-// expensive cell, so the reuse still pays; an out-of-order grant merely
-// reallocates — correctness never depends on arrival order.
-struct ShardChildState {
-  std::size_t cell = std::numeric_limits<std::size_t>::max();
-  std::vector<double> lambdas;
-  std::vector<double> population;
-  std::vector<double> chain_matrix;
-};
 
 }  // namespace
 
@@ -262,16 +347,6 @@ core::SimulationConfig CellConfig(const ScenarioSpec& spec,
 CampaignRunner::CampaignRunner(CampaignOptions options)
     : options_(options) {}
 
-std::uint64_t CampaignRunner::ChunkSize(std::uint64_t replications,
-                                        unsigned threads) const {
-  if (options_.chunk_replications != 0) return options_.chunk_replications;
-  // ~4 chunks per worker per cell: fine-grained enough that a finished
-  // cell's workers immediately pick up the next cell's chunks, coarse
-  // enough that dispatch overhead stays negligible.
-  const std::uint64_t chunks = static_cast<std::uint64_t>(threads) * 4;
-  return std::max<std::uint64_t>(1, (replications + chunks - 1) / chunks);
-}
-
 unsigned CampaignRunner::PlannedConcurrency() const {
   if (options_.backend != nullptr) {
     return std::max(1u, options_.backend->Concurrency());
@@ -295,9 +370,7 @@ std::vector<ChunkJob> CampaignRunner::PlanJobs(
     rep_ns[i] = model.EstimateReplicationNs(cells[i], spec.steps);
     total_ns += rep_ns[i] * static_cast<double>(spec.replications);
   }
-  const bool cost_aware = options_.chunk_replications == 0 &&
-                          options_.schedule == SchedulePolicy::kCostAware;
-  // Cost-aware target: ~4 chunks per worker of EQUAL MODELED COST across
+  // Target: ~4 chunks per worker of EQUAL MODELED COST across
   // the whole campaign (not per cell), floored at kMinChunkNs.  An
   // expensive cell therefore splits into many small-replication chunks
   // while a cheap cell contributes a few large ones — the geometry that
@@ -306,13 +379,11 @@ std::vector<ChunkJob> CampaignRunner::PlanJobs(
       std::max(total_ns / (static_cast<double>(threads) * 4.0), kMinChunkNs);
   std::vector<ChunkJob> jobs;
   for (std::size_t cell = 0; cell < cells.size(); ++cell) {
-    std::uint64_t chunk;
-    if (cost_aware) {
+    std::uint64_t chunk = options_.chunk_replications;
+    if (chunk == 0) {
       const double reps_per_chunk = target_ns / rep_ns[cell];
       chunk = static_cast<std::uint64_t>(std::llround(reps_per_chunk));
       chunk = std::clamp<std::uint64_t>(chunk, 1, spec.replications);
-    } else {
-      chunk = ChunkSize(spec.replications, threads);
     }
     for (std::uint64_t begin = 0; begin < spec.replications; begin += chunk) {
       ChunkJob job;
@@ -464,19 +535,15 @@ std::vector<CellOutcome> CampaignRunner::Run(
       obs::ScopedLatency reduce_latency(reduce_ns);
       execution.result = core::ReduceToResult(
           execution.protocol_name, execution.stakes, execution.config,
-          spec.fairness, execution.lambdas, execution.population);
+          spec.fairness, execution.matrices.lambdas,
+          execution.matrices.population);
       if (execution.chain) {
-        chain::ReduceChainMetrics(execution.config, execution.chain_matrix,
+        chain::ReduceChainMetrics(execution.config, execution.matrices.chain,
                                   execution.result);
       }
     }
     cells_done.Add();
-    execution.lambdas.clear();
-    execution.lambdas.shrink_to_fit();
-    execution.population.clear();
-    execution.population.shrink_to_fit();
-    execution.chain_matrix.clear();
-    execution.chain_matrix.shrink_to_fit();
+    execution.matrices = CellMatrices{};  // release the cell's memory
     // Persist before emitting: once a cell's rows are visible its entry is
     // committed, so a crash after partial output never loses stored work.
     if (cache != nullptr) cache->Put(keys[index], execution.result);
@@ -505,44 +572,44 @@ std::vector<CellOutcome> CampaignRunner::Run(
     executions[job.cell]->remaining_chunks.fetch_add(1);
   }
 
-  auto allocate_matrices = [](CellExecution& execution) {
+  auto cell_matrices = [](CellExecution& execution) -> CellMatrices& {
     std::call_once(execution.allocate_once, [&execution] {
-      execution.lambdas.assign(execution.config.checkpoints.size() *
-                                   execution.config.replications,
-                               0.0);
-      if (execution.config.population_metrics) {
-        execution.population.assign(
-            core::PopulationMatrixSize(execution.config), 0.0);
-      }
-      if (execution.chain) {
-        execution.chain_matrix.assign(
-            chain::ChainMatrixSize(execution.config), 0.0);
-      }
+      execution.matrices = AllocateMatrices(execution);
     });
+    return execution.matrices;
   };
 
-  // Dispatch order: longest modeled cost first under kCostAware (LPT —
-  // expensive chunks start early, the cheap tail levels the finish), plan
-  // order under kStatic.  Order never affects output: payloads land in
-  // pre-addressed slots and emission is cursor-ordered.
-  const bool lpt_dispatch =
-      options_.schedule == SchedulePolicy::kCostAware && !pending.empty();
+  // The one commit every chunk passes through, on any backend: latency
+  // into the family histogram and the cost model's EWMA, the progress
+  // counters, and — on the cell's last chunk — reduction and emission.
+  auto commit_chunk = [&](const ChunkJob& job, std::uint64_t busy_ns) {
+    CellExecution& execution = *executions[job.cell];
+    (execution.chain ? chunk_ns_chain : chunk_ns_incentive).Record(busy_ns);
+    CostModel::Global().Observe(execution.cell, execution.config.steps,
+                                job.end - job.begin, busy_ns);
+    chunks_done.Add();
+    replications_done.Add(job.end - job.begin);
+    cost_done_ns.Add(static_cast<std::uint64_t>(job.cost_ns));
+    if (execution.remaining_chunks.fetch_sub(1) == 1) {
+      reduce_and_emit(execution, job.cell);
+    }
+  };
 
+  // Dispatch order is longest modeled cost first (LPT): expensive chunks
+  // start early and the cheap tail levels the finish.  Order never
+  // affects output: chunks land in pre-addressed slots and emission is
+  // cursor-ordered.
+  const std::vector<std::size_t> order = LptOrder(pending);
+  const std::string backend_name = backend->name();
   const unsigned process_shards = backend->ProcessShards();
   if (!pending.empty() && process_shards > 0) {
-    // Process-sharded path: forked workers pull chunks through the
-    // demand-driven grant protocol and stream raw payloads back; the
-    // parent commits each payload into the exact matrix slots the
-    // in-process path would have written, then runs the identical
-    // reduction — which is why output is byte-identical.
-    // Payload layout for chunk (cell, begin, end): the [begin, end)
-    // columns of every λ checkpoint row, then of every population plane.
+    // Shard transport: forked workers pull chunks through the grant
+    // protocol, run the kernel into scratch matrices and ship the chunk's
+    // rows back; the parent copies them into the cell's matrices.  Shard
+    // metrics are recorded parent-side (a child's clock readings die with
+    // the fork): grant round-trip latency and per-shard busy nanoseconds,
+    // the busy-fraction skew the traced-shard CI step asserts on.
     obs::Span execute_span("backend.execute", pending.size());
-    // Scheduler observability, recorded parent-side (the child's clock
-    // readings die with the fork): per-chunk busy time into the family
-    // histograms and the cost model's EWMA, grant round-trip latency, and
-    // per-shard busy-nanosecond counters (the busy-fraction skew the
-    // traced-shard CI step asserts on).
     obs::LatencyHistogram& grant_ns_hist =
         metrics.GetHistogram("campaign.grant_ns");
     std::vector<obs::Counter*> shard_busy;
@@ -551,177 +618,48 @@ std::vector<CellOutcome> CampaignRunner::Run(
       shard_busy.push_back(&metrics.GetCounter(
           "campaign.shard_busy_ns." + std::to_string(s)));
     }
-    core::ShardOptions shard_options;
-    if (lpt_dispatch) shard_options.grant_order = LptOrder(pending);
-    shard_options.on_chunk = [&](const core::ShardChunkStats& stats) {
+    // Runs in the forked child.  The scratch matrices are reused across
+    // the worker's consecutive chunks of one cell (under LPT grant order
+    // those usually belong to the same expensive cell); each child mutates
+    // its own copy-on-write copy of them.
+    std::size_t scratch_cell = cells.size();
+    CellMatrices scratch;
+    auto compute = [&](std::size_t index) {
+      const ChunkJob& job = pending[index];
+      const CellExecution& execution = *executions[job.cell];
+      if (scratch_cell != job.cell) {
+        scratch = AllocateMatrices(execution);
+        scratch_cell = job.cell;
+      }
+      RunChunk(execution, job, backend_name, scratch);
+      return PackChunk(scratch, execution.config.replications, job);
+    };
+    // Runs in the parent's reader threads.
+    auto consume = [&](const core::ShardChunkStats& stats,
+                       std::vector<double>&& payload) {
       const ChunkJob& job = pending[stats.index];
       CellExecution& execution = *executions[job.cell];
-      (execution.chain ? chunk_ns_chain : chunk_ns_incentive)
-          .Record(stats.busy_ns);
+      UnpackChunk(payload, job, execution.config.replications,
+                  cell_matrices(execution));
       if (stats.grant_ns != 0) grant_ns_hist.Record(stats.grant_ns);
       shard_busy[stats.shard]->Add(stats.busy_ns);
-      CostModel::Global().Observe(execution.cell, execution.config.steps,
-                                  job.end - job.begin, stats.busy_ns);
-      cost_done_ns.Add(static_cast<std::uint64_t>(job.cost_ns));
+      commit_chunk(job, stats.busy_ns);
     };
-    core::RunSharded(
-        process_shards, pending.size(),
-        // Runs in the forked child.
-        [&, state = std::make_shared<ShardChildState>()](std::size_t index) {
-          const ChunkJob& job = pending[index];
-          CellExecution& execution = *executions[job.cell];
-          // Recorded in the forked worker and streamed back over the span
-          // message, so the parent's trace shows this chunk on the
-          // worker's own track.  (Latency histograms are recorded
-          // parent-side via on_chunk — a child-side record dies with the
-          // fork.)
-          obs::Span chunk_span("campaign.chunk", job.cell);
-          const core::SimulationConfig& config = execution.config;
-          const std::size_t cp = config.checkpoints.size();
-          if (state->cell != job.cell || state->lambdas.empty()) {
-            state->cell = job.cell;
-            state->lambdas.assign(cp * config.replications, 0.0);
-            state->population.assign(
-                config.population_metrics
-                    ? core::PopulationMatrixSize(config)
-                    : 0,
-                0.0);
-            state->chain_matrix.assign(
-                execution.chain ? chain::ChainMatrixSize(config) : 0, 0.0);
-          }
-          if (execution.chain) {
-            chain::RunChainReplicationRange(execution.game, config,
-                                            job.begin, job.end,
-                                            state->lambdas.data(),
-                                            state->chain_matrix.data());
-          } else {
-            core::RunReplicationRange(*execution.model, execution.stakes,
-                                      config, job.begin, job.end,
-                                      state->lambdas.data(),
-                                      state->population.empty()
-                                          ? nullptr
-                                          : state->population.data());
-          }
-          const std::size_t span = job.end - job.begin;
-          // Plane rows follow the λ rows: population planes for incentive
-          // cells, chain planes for chain cells (never both — chain cells
-          // force population_metrics off).  Same marshaling either way.
-          const double* plane_data = execution.chain
-                                         ? state->chain_matrix.data()
-                                         : state->population.data();
-          const std::size_t planes =
-              execution.chain
-                  ? chain::kChainMetricCount * cp
-                  : (state->population.empty()
-                         ? 0
-                         : core::kPopulationMetricCount * cp);
-          std::vector<double> payload;
-          payload.reserve((cp + planes) * span);
-          for (std::size_t c = 0; c < cp; ++c) {
-            const double* row =
-                state->lambdas.data() + c * config.replications;
-            payload.insert(payload.end(), row + job.begin, row + job.end);
-          }
-          for (std::size_t p = 0; p < planes; ++p) {
-            const double* row = plane_data + p * config.replications;
-            payload.insert(payload.end(), row + job.begin, row + job.end);
-          }
-          return payload;
-        },
-        // Runs in the parent's reader threads.
-        [&](std::size_t index, std::vector<double>&& payload) {
-          const ChunkJob& job = pending[index];
-          CellExecution& execution = *executions[job.cell];
-          allocate_matrices(execution);
-          const core::SimulationConfig& config = execution.config;
-          const std::size_t span = job.end - job.begin;
-          const std::size_t cp = config.checkpoints.size();
-          double* plane_dest = execution.chain
-                                   ? execution.chain_matrix.data()
-                                   : execution.population.data();
-          const std::size_t planes =
-              execution.chain
-                  ? chain::kChainMetricCount * cp
-                  : (execution.population.empty()
-                         ? 0
-                         : core::kPopulationMetricCount * cp);
-          if (payload.size() != (cp + planes) * span) {
-            throw std::runtime_error(
-                "campaign shard payload size mismatch for cell " +
-                std::to_string(job.cell));
-          }
-          const double* source = payload.data();
-          for (std::size_t c = 0; c < cp; ++c) {
-            std::copy(source, source + span,
-                      execution.lambdas.data() + c * config.replications +
-                          job.begin);
-            source += span;
-          }
-          for (std::size_t p = 0; p < planes; ++p) {
-            std::copy(source, source + span,
-                      plane_dest + p * config.replications + job.begin);
-            source += span;
-          }
-          chunks_done.Add();
-          replications_done.Add(span);
-          if (execution.remaining_chunks.fetch_sub(1) == 1) {
-            reduce_and_emit(execution, job.cell);
-          }
-        },
-        shard_options);
+    core::RunSharded(process_shards, pending.size(), compute, consume, order);
   } else if (!pending.empty()) {
-    // In-process path.  Each chunk steps in its worker's thread-local
-    // arena, reused across chunks and cells (zero steady-state allocation
-    // within a cell).  Jobs are submitted in dispatch order (LPT under
-    // kCostAware); the stealing pool deals them round-robin from there.
-    std::vector<std::size_t> submit_order(pending.size());
-    std::iota(submit_order.begin(), submit_order.end(), std::size_t{0});
-    if (lpt_dispatch) submit_order = LptOrder(pending);
+    // In-process transport: one job per chunk, computing straight into the
+    // cell's matrices (each worker steps in its thread-local arena).
     std::vector<std::function<void()>> jobs;
     jobs.reserve(pending.size());
-    for (const std::size_t index : submit_order) {
-      const ChunkJob job = pending[index];
-      CellExecution* execution = executions[job.cell].get();
-      obs::LatencyHistogram* hist =
-          execution->chain ? &chunk_ns_chain : &chunk_ns_incentive;
-      jobs.push_back([execution, job, hist, &reduce_and_emit,
-                      &allocate_matrices, &chunks_done, &replications_done,
-                      &cost_done_ns] {
-        allocate_matrices(*execution);
-        {
-          obs::Span chunk_span("campaign.chunk", job.cell);
-          // Timed by hand (not ScopedLatency) because the same reading
-          // also feeds the cost model's EWMA.
-          const auto start = std::chrono::steady_clock::now();
-          if (execution->chain) {
-            chain::RunChainReplicationRange(execution->game,
-                                            execution->config, job.begin,
-                                            job.end,
-                                            execution->lambdas.data(),
-                                            execution->chain_matrix.data());
-          } else {
-            core::RunReplicationRange(*execution->model, execution->stakes,
-                                      execution->config, job.begin, job.end,
-                                      execution->lambdas.data(),
-                                      execution->population.empty()
-                                          ? nullptr
-                                          : execution->population.data());
-          }
-          const std::uint64_t elapsed_ns = static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count());
-          hist->Record(elapsed_ns);
-          CostModel::Global().Observe(execution->cell,
-                                      execution->config.steps,
-                                      job.end - job.begin, elapsed_ns);
-        }
-        chunks_done.Add();
-        replications_done.Add(job.end - job.begin);
-        cost_done_ns.Add(static_cast<std::uint64_t>(job.cost_ns));
-        if (execution->remaining_chunks.fetch_sub(1) == 1) {
-          reduce_and_emit(*execution, job.cell);
-        }
+    for (const std::size_t index : order) {
+      jobs.push_back([&, &job = pending[index]] {
+        CellExecution& execution = *executions[job.cell];
+        CellMatrices& matrices = cell_matrices(execution);
+        const auto start = std::chrono::steady_clock::now();
+        RunChunk(execution, job, backend_name, matrices);
+        const auto busy = std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start);
+        commit_chunk(job, static_cast<std::uint64_t>(busy.count()));
       });
     }
     obs::Span execute_span("backend.execute", jobs.size());

@@ -18,17 +18,22 @@
 //
 // Scheduling rides on top of that contract (and therefore never changes
 // output): chunks are sized cost-proportionally by sim::CostModel and
-// dispatched longest-first (SchedulePolicy::kCostAware), the thread-pool
-// backend levels imbalance by work stealing, and the shard backend pulls
-// chunks through a demand-driven grant protocol.
+// dispatched longest-first (LPT), whichever worker frees up next takes the
+// next chunk from the thread pool's shared queue, and the shard backend
+// pulls chunks through a demand-driven grant protocol.
 //
-// Two orthogonal extensions ride on the same contract:
+// Every chunk takes one execution path whatever the backend: one kernel
+// runs its replications into a cell's matrices, and one commit records it
+// and reduces the cell once its last chunk lands.  Backends differ only in
+// transport:
+//   * In-process (serial, thread pool): the kernel writes straight into
+//     the cell's matrices.
 //   * Process sharding: a backend advertising ProcessShards() = N runs the
 //     job grid through core::RunSharded — N forked workers pull chunks
-//     one grant at a time and stream the raw λ payloads back over pipes;
-//     the parent commits them into the same pre-addressed matrix slots the
-//     in-process path writes.  Same doubles, same slots, same reduction —
-//     byte-identical output at any shard count.
+//     one grant at a time, run the kernel into scratch matrices, and
+//     stream the chunk's rows back over pipes; the parent copies them into
+//     the same pre-addressed matrix slots.  Same doubles, same slots, same
+//     reduction — byte-identical output at any shard count.
 //   * Resumable caching: with CampaignOptions::store set, every finished
 //     cell is persisted content-addressed (see CellStorePreimage), and
 //     verified hits are served without recomputation — a killed campaign
@@ -49,37 +54,15 @@
 
 namespace fairchain::sim {
 
-/// How the runner sizes and orders a campaign's chunks.  Either policy
-/// produces byte-identical output (chunk geometry never reaches the
-/// simulated values); the policies differ only in wall clock under
-/// heterogeneous cost mixes.
-enum class SchedulePolicy {
-  /// Cost-aware (the default): chunks are sized to ~equal modeled
-  /// nanoseconds using sim::CostModel (BENCH-calibrated priors refined by
-  /// an EWMA over observed chunk latencies), floored at a minimum chunk
-  /// cost so tiny cells never shatter into dispatch-overhead-dominated
-  /// single-replication chunks, and dispatched longest-processing-time
-  /// first so the expensive chunks start early and the cheap tail levels
-  /// the finish.
-  kCostAware,
-  /// The legacy planner: one uniform replication count per chunk
-  /// (reps / (4 x workers), or `chunk_replications` verbatim), dispatched
-  /// in grid order.  Kept as the control arm the scheduler benchmarks
-  /// compare against (`--scheduler static`).
-  kStatic,
-};
-
 /// Execution knobs independent of what is simulated.
 struct CampaignOptions {
   /// Worker threads for the default backend (0 = EnvThreads()).  Ignored
   /// when `backend` is injected.
   unsigned threads = 0;
-  /// Replications per scheduled chunk (0 = auto; see `schedule`).  A
-  /// non-zero value overrides the cost model's chunk sizing but keeps the
-  /// policy's dispatch order.
+  /// Replications per scheduled chunk (0 = cost-proportional; see
+  /// CampaignRunner::PlanJobs).  A non-zero value overrides the cost
+  /// model's chunk sizing but keeps longest-first dispatch.
   std::uint64_t chunk_replications = 0;
-  /// Chunk planning / dispatch policy (see SchedulePolicy).
-  SchedulePolicy schedule = SchedulePolicy::kCostAware;
   /// Execution backend the job grid runs on (non-owning; must outlive the
   /// runner's Run).  Null = MakeDefaultBackend(threads).  Output is
   /// byte-identical for ANY backend — see core/execution_backend.hpp for
@@ -135,20 +118,19 @@ class CampaignRunner {
                                const std::vector<ResultSink*>& sinks) const;
 
   /// The job grid Run would schedule: every cell's replication chunks, in
-  /// grid order (dispatch reordering — LPT under kCostAware — happens at
-  /// execution time, not here).  Under kCostAware each cell's chunk size
-  /// is cost-proportional: chunks target ~equal modeled nanoseconds, with
-  /// a minimum-cost floor so cells whose replications are tiny never
-  /// degenerate into per-replication chunks.  Exposed so tests can verify
-  /// that a multi-cell campaign is dispatched as one interleavable batch
-  /// and that the planner's geometry matches the policy, without running
+  /// grid order (longest-first dispatch reordering happens at execution
+  /// time, not here).  Unless `chunk_replications` pins it, each cell's
+  /// chunk size is cost-proportional: chunks target ~equal modeled
+  /// nanoseconds, with a minimum-cost floor so cells whose replications
+  /// are tiny never degenerate into per-replication chunks.  Exposed so
+  /// tests can verify that a multi-cell campaign is dispatched as one
+  /// interleavable batch and check the planner's geometry, without running
   /// the simulations.
   std::vector<ChunkJob> PlanJobs(const ScenarioSpec& spec) const;
 
   const CampaignOptions& options() const { return options_; }
 
  private:
-  std::uint64_t ChunkSize(std::uint64_t replications, unsigned threads) const;
   /// Concurrency the job grid is sized for: the injected backend's, or the
   /// default backend's worker count.
   unsigned PlannedConcurrency() const;

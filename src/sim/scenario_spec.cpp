@@ -280,9 +280,8 @@ std::vector<double> CampaignCell::Stakes() const {
   // paper interpretation relative to the initial resource pool.
   for (double& value : stakes) value /= total;
   // Extreme parameters (e.g. pareto alpha near 0) overflow pow() to inf and
-  // normalise to NaN; fail here, on the thread that expanded the cell — a
-  // NaN vector would otherwise first throw inside a worker job, where the
-  // execution backends document that jobs must not throw.
+  // normalise to NaN; fail here, on the thread that expanded the cell,
+  // with a message about the spec rather than from inside a worker job.
   for (const double value : stakes) {
     if (!std::isfinite(value)) {
       throw std::invalid_argument(

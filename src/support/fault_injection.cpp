@@ -61,10 +61,12 @@ FaultSpec ParseFaultSpec(const std::string& text) {
   } else if (action.rfind("stall=", 0) == 0) {
     spec.action = FaultSpec::Action::kStall;
     spec.argument = ParseCount(action.substr(6), "stall milliseconds");
+  } else if (action == "throw") {
+    spec.action = FaultSpec::Action::kThrow;
   } else {
     throw std::invalid_argument(
         "FAIRCHAIN_FAULT: unknown action '" + action +
-        "' (known: kill, exit=<code>, stall=<ms>)");
+        "' (known: kill, exit=<code>, stall=<ms>, throw)");
   }
   return spec;
 }
@@ -94,6 +96,10 @@ void MaybeInjectFault(std::string_view site, std::uint64_t index,
       std::this_thread::sleep_for(
           std::chrono::milliseconds(fault->argument));
       break;
+    case FaultSpec::Action::kThrow:
+      throw std::runtime_error(
+          "FAIRCHAIN_FAULT: injected throw at " + std::string(site) + ":" +
+          std::to_string(index) + ":" + std::to_string(count));
   }
 }
 

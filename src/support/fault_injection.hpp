@@ -15,6 +15,8 @@
 //   action  kill           raise(SIGKILL) — an unhandleable crash
 //           exit=<code>    _exit(code)   — sudden death, no cleanup
 //           stall=<ms>     sleep for <ms> milliseconds, then continue
+//           throw          throw std::runtime_error naming the trigger — an
+//                          in-process failure the caller must propagate
 //
 // Example: FAIRCHAIN_FAULT=shard-chunk:1:2:kill SIGKILLs shard worker 1
 // immediately after it has streamed its 2nd result chunk.
@@ -34,9 +36,10 @@
 //                  temp file is complete, before the atomic rename)
 //   store-payload  index = 0; count = entries written (fires after roughly
 //                  half the entry's payload bytes — a truncated temp file)
-//   pool-task      index = worker id; count = tasks that worker has
-//                  finished in the current stealing batch (fires between
-//                  two tasks — stalling here forces siblings to steal)
+//   pool-task      index = ThreadPool worker id; count = tasks that worker
+//                  has finished in the current batch (fires between two
+//                  tasks — a stall leaves the shared queue to its siblings,
+//                  a throw cancels the batch and surfaces from Wait)
 
 #ifndef FAIRCHAIN_SUPPORT_FAULT_INJECTION_HPP_
 #define FAIRCHAIN_SUPPORT_FAULT_INJECTION_HPP_
@@ -53,7 +56,7 @@ struct FaultSpec {
   std::string site;
   std::uint64_t index = 0;
   std::uint64_t nth = 0;
-  enum class Action { kKill, kExit, kStall } action = Action::kKill;
+  enum class Action { kKill, kExit, kStall, kThrow } action = Action::kKill;
   std::uint64_t argument = 0;  ///< exit code or stall milliseconds
 
   /// True when this trigger selects (site, index) at count `count`.

@@ -76,6 +76,10 @@ void FenwickSampler::SampleFlatLanes(const double* u01, std::size_t lanes,
   // one vgatherqpd, one compare-to-mask, and two masked updates per level
   // — decision-for-decision the scalar SampleFlat chain.
 #if FAIRCHAIN_FENWICK_AVX512
+  // The gather and the narrowing convert take explicit all-lanes masks
+  // and zero sources: same bits as the unmasked intrinsics, whose
+  // _mm512_undefined_* pass-through trips GCC 12's -Wmaybe-uninitialized.
+  constexpr __mmask8 kAll = 0xFF;
   const __m512d total = _mm512_set1_pd(total_);
   for (std::size_t base = 0; base < lanes; base += 8) {
     const std::size_t n = lanes - base;
@@ -89,12 +93,14 @@ void FenwickSampler::SampleFlatLanes(const double* u01, std::size_t lanes,
       const __m512i probe =
           _mm512_add_epi64(index, _mm512_set1_epi64(
                                       static_cast<long long>(bit)));
-      const __m512d t = _mm512_i64gather_pd(probe, tree, 8);
+      const __m512d t = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), kAll,
+                                                 probe, tree, 8);
       const __mmask8 take = _mm512_cmp_pd_mask(t, remaining, _CMP_LE_OQ);
       index = _mm512_mask_mov_epi64(index, take, probe);
       remaining = _mm512_mask_sub_pd(remaining, take, remaining, t);
     }
-    _mm256_mask_storeu_epi32(out + base, live, _mm512_cvtepi64_epi32(index));
+    _mm256_mask_storeu_epi32(out + base, live,
+                             _mm512_maskz_cvtepi64_epi32(kAll, index));
   }
 #else   // portable fixed-width fallback
   constexpr std::size_t kChunk = 16;

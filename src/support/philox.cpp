@@ -81,6 +81,11 @@ void PhiloxLanes::Refill(std::uint64_t first_block) {
   double* rows = buffer_.data();
   const std::size_t stride = lane_count_;
 #if FAIRCHAIN_PHILOX_AVX512
+  // Shifts and multiplies use the all-lanes zero-masked forms: same
+  // instruction and bits as the unmasked intrinsics, whose
+  // _mm512_undefined_* pass-through source trips GCC 12's
+  // -Wmaybe-uninitialized.
+  constexpr __mmask8 kAll = 0xFF;
   const __m512i mult0 = _mm512_set1_epi64(Philox4x32::kMult0);
   const __m512i mult1 = _mm512_set1_epi64(Philox4x32::kMult1);
   const __m512i mask32 = _mm512_set1_epi64(0xFFFFFFFFu);
@@ -94,7 +99,7 @@ void PhiloxLanes::Refill(std::uint64_t first_block) {
     const __m512i lane =
         _mm512_add_epi64(_mm512_set1_epi64(first_lane_ + base), iota);
     const __m512i lane_lo = _mm512_and_si512(lane, mask32);
-    const __m512i lane_hi = _mm512_srli_epi64(lane, 32);
+    const __m512i lane_hi = _mm512_maskz_srli_epi64(kAll, lane, 32);
     // The kBlocksAhead cipher chains of this lane group are independent;
     // iterating them back to back lets the out-of-order core overlap
     // their multiply latencies.  Values are carried UNMASKED between
@@ -108,28 +113,34 @@ void PhiloxLanes::Refill(std::uint64_t first_block) {
       __m512i x2 = lane_lo;
       __m512i x3 = lane_hi;
       for (int r = 0; r < 10; ++r) {
-        const __m512i product0 = _mm512_mul_epu32(mult0, x0);
-        const __m512i product1 = _mm512_mul_epu32(mult1, x2);
+        const __m512i product0 = _mm512_maskz_mul_epu32(kAll, mult0, x0);
+        const __m512i product1 = _mm512_maskz_mul_epu32(kAll, mult1, x2);
         const __m512i w0 = _mm512_set1_epi64(k0[r]);
         const __m512i w1 = _mm512_set1_epi64(k1[r]);
         // srli fills the high half with zeros and w is a 32-bit value, so
         // the LOW 32 bits of each new word are exact; the high halves
         // carry stale xor noise that the pack below discards.
         x0 = _mm512_xor_si512(
-            _mm512_xor_si512(_mm512_srli_epi64(product1, 32), x1), w0);
+            _mm512_xor_si512(_mm512_maskz_srli_epi64(kAll, product1, 32),
+                             x1),
+            w0);
         x1 = product1;
         x2 = _mm512_xor_si512(
-            _mm512_xor_si512(_mm512_srli_epi64(product0, 32), x3), w1);
+            _mm512_xor_si512(_mm512_maskz_srli_epi64(kAll, product0, 32),
+                             x3),
+            w1);
         x3 = product0;
       }
-      const __m512i even = _mm512_or_si512(_mm512_and_si512(x0, mask32),
-                                           _mm512_slli_epi64(x1, 32));
-      const __m512i odd = _mm512_or_si512(_mm512_and_si512(x2, mask32),
-                                          _mm512_slli_epi64(x3, 32));
+      const __m512i even =
+          _mm512_or_si512(_mm512_and_si512(x0, mask32),
+                          _mm512_maskz_slli_epi64(kAll, x1, 32));
+      const __m512i odd =
+          _mm512_or_si512(_mm512_and_si512(x2, mask32),
+                          _mm512_maskz_slli_epi64(kAll, x3, 32));
       const __m512d lo = _mm512_mul_pd(
-          _mm512_cvtepu64_pd(_mm512_srli_epi64(even, 11)), scale);
+          _mm512_cvtepu64_pd(_mm512_maskz_srli_epi64(kAll, even, 11)), scale);
       const __m512d hi = _mm512_mul_pd(
-          _mm512_cvtepu64_pd(_mm512_srli_epi64(odd, 11)), scale);
+          _mm512_cvtepu64_pd(_mm512_maskz_srli_epi64(kAll, odd, 11)), scale);
       _mm512_mask_storeu_pd(rows + (2 * j + 0) * stride + base, live, lo);
       _mm512_mask_storeu_pd(rows + (2 * j + 1) * stride + base, live, hi);
     }

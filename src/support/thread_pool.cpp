@@ -1,9 +1,7 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <deque>
-#include <memory>
+#include <utility>
 
 #include "support/fault_injection.hpp"
 
@@ -13,7 +11,7 @@ ThreadPool::ThreadPool(unsigned threads) {
   const unsigned count = std::max(1u, threads);
   workers_.reserve(count);
   for (unsigned i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -50,9 +48,12 @@ void ThreadPool::SubmitBatch(std::vector<std::function<void()>> tasks) {
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mutex_);
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(unsigned worker) {
+  std::uint64_t batch = 0;
+  std::uint64_t finished = 0;  // tasks this worker ran in `batch`
   for (;;) {
     std::function<void()> task;
     {
@@ -65,101 +66,36 @@ void ThreadPool::WorkerLoop() {
       }
       task = std::move(tasks_.front());
       tasks_.pop();
+      if (batch != batch_) {
+        batch = batch_;
+        finished = 0;
+      }
     }
-    task();
+    try {
+      task();
+      // Fault site "pool-task": index = worker, count = tasks this worker
+      // has finished in the current batch.  A stall pins the worker while
+      // its siblings drain the shared queue; a throw exercises the
+      // propagation below.
+      MaybeInjectFault("pool-task", worker, ++finished);
+    } catch (...) {
+      // Cancel the rest of the batch: queued tasks never start (and are
+      // destroyed after the lock is released).
+      std::queue<std::function<void()>> dropped;
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (!error_) error_ = std::current_exception();
+      in_flight_ -= tasks_.size();
+      dropped.swap(tasks_);
+    }
     {
       std::unique_lock<std::mutex> lock(mutex_);
       --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
+      if (in_flight_ == 0) {
+        ++batch_;
+        all_done_.notify_all();
+      }
     }
   }
-}
-
-namespace {
-
-// One worker's deque.  A mutex per deque is ample here: the callers
-// schedule multi-hundred-microsecond chunks, so even a pathological steal
-// storm spends a vanishing fraction of its time under these locks.
-struct StealableDeque {
-  std::mutex mutex;
-  std::deque<std::function<void()>> tasks;
-};
-
-}  // namespace
-
-std::uint64_t RunStealingBatch(unsigned threads,
-                               std::vector<std::function<void()>> tasks,
-                               bool stealing) {
-  if (tasks.empty()) return 0;
-  const unsigned workers = std::max(1u, threads);
-  if (workers == 1) {
-    for (auto& task : tasks) task();
-    return 0;
-  }
-  // unique_ptr keeps each deque's mutex at a stable address.
-  std::vector<std::unique_ptr<StealableDeque>> deques;
-  deques.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    deques.push_back(std::make_unique<StealableDeque>());
-  }
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    deques[i % workers]->tasks.push_back(std::move(tasks[i]));
-  }
-  std::atomic<std::uint64_t> steals{0};
-
-  auto worker_loop = [&](unsigned self) {
-    std::uint64_t executed = 0;
-    for (;;) {
-      std::function<void()> task;
-      {
-        std::lock_guard<std::mutex> lock(deques[self]->mutex);
-        if (!deques[self]->tasks.empty()) {
-          task = std::move(deques[self]->tasks.front());
-          deques[self]->tasks.pop_front();
-        }
-      }
-      while (!task && stealing) {
-        // Steal from the sibling with the largest backlog: relieving the
-        // most loaded worker minimises the makespan when one deque holds
-        // an expensive cell's chunks.  Sizes are sampled one lock at a
-        // time, so a pick can race empty — rescan until a steal lands or
-        // every deque is drained.
-        unsigned victim = workers;
-        std::size_t victim_backlog = 0;
-        for (unsigned v = 0; v < workers; ++v) {
-          if (v == self) continue;
-          std::lock_guard<std::mutex> lock(deques[v]->mutex);
-          if (deques[v]->tasks.size() > victim_backlog) {
-            victim = v;
-            victim_backlog = deques[v]->tasks.size();
-          }
-        }
-        if (victim == workers) break;
-        std::lock_guard<std::mutex> lock(deques[victim]->mutex);
-        if (deques[victim]->tasks.empty()) continue;
-        task = std::move(deques[victim]->tasks.back());
-        deques[victim]->tasks.pop_back();
-        steals.fetch_add(1, std::memory_order_relaxed);
-      }
-      // The batch is closed (tasks never submit tasks), so an empty sweep
-      // means this worker is permanently out of work.
-      if (!task) return;
-      task();
-      // Fault site "pool-task": index = worker id, count = tasks that
-      // worker has finished.  A stall here pins one worker mid-batch and
-      // forces its siblings to steal the rest of its deque — the
-      // worst-case interleaving the golden determinism tests replay.
-      MaybeInjectFault("pool-task", self, ++executed);
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back(worker_loop, w);
-  }
-  for (std::thread& worker : pool) worker.join();
-  return steals.load(std::memory_order_relaxed);
 }
 
 void ParallelFor(unsigned threads, std::size_t count,

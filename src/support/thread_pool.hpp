@@ -3,6 +3,10 @@
 // The Monte Carlo engine shards replications across workers; determinism is
 // preserved because each replication derives its RNG stream from the
 // replication index, never from the executing thread.
+//
+// Exceptions: a task that throws does not take the process down.  The pool
+// records the first exception, drops every task still queued (tasks already
+// running finish), and Wait() rethrows it on the caller's thread.
 
 #ifndef FAIRCHAIN_SUPPORT_THREAD_POOL_HPP_
 #define FAIRCHAIN_SUPPORT_THREAD_POOL_HPP_
@@ -10,6 +14,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -39,14 +44,16 @@ class ThreadPool {
   /// the campaign runner uses this to launch whole campaigns at once.
   void SubmitBatch(std::vector<std::function<void()>> tasks);
 
-  /// Blocks until every submitted task has finished.
+  /// Blocks until every submitted task has finished or been dropped, then
+  /// rethrows the first exception a task raised since the last Wait (the
+  /// pool stays usable afterwards).
   void Wait();
 
   /// Number of worker threads.
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
  private:
-  void WorkerLoop();
+  void WorkerLoop(unsigned worker);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
@@ -54,35 +61,16 @@ class ThreadPool {
   std::condition_variable task_available_;
   std::condition_variable all_done_;
   std::size_t in_flight_ = 0;
+  // Bumped each time the pool drains; workers restart their per-batch task
+  // counts (the pool-task fault site's count) when it moves.
+  std::uint64_t batch_ = 0;
+  std::exception_ptr error_;
   bool shutting_down_ = false;
 };
 
-/// Runs one fixed batch of tasks across `threads` workers with per-worker
-/// deques and work stealing, blocking until every task has finished.
-///
-/// Task i is dealt onto deque i % threads; a worker pops its OWN deque
-/// front-to-back (preserving the batch's locality — consecutive chunks of
-/// one campaign cell stay on one worker while it keeps up), and when its
-/// deque drains it STEALS from the back of the busiest sibling — so a
-/// worker that finishes a run of cheap tasks immediately relieves whoever
-/// holds the expensive ones.  Tasks must not submit further tasks: the
-/// batch is closed, which is what makes "every deque empty" a correct
-/// termination condition.
-///
-/// Returns the number of successful steals (tasks executed by a worker
-/// other than the one they were dealt to).  With `stealing` false the
-/// deal is static: each worker runs exactly its own deque — the control
-/// arm benchmarks compare against.
-///
-/// Determinism: like ThreadPool, stealing only changes WHICH worker runs
-/// a task and WHEN, never what the task computes — callers uphold the
-/// index-derived-RNG / disjoint-output contract (core/execution_backend).
-std::uint64_t RunStealingBatch(unsigned threads,
-                               std::vector<std::function<void()>> tasks,
-                               bool stealing = true);
-
 /// Runs `body(i)` for i in [0, count) across `threads` workers in contiguous
-/// chunks, blocking until completion.  With threads <= 1 runs inline.
+/// chunks, blocking until completion.  With threads <= 1 runs inline.  An
+/// exception from `body` propagates to the caller.
 void ParallelFor(unsigned threads, std::size_t count,
                  const std::function<void(std::size_t)>& body);
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,18 +42,17 @@ TEST(ExecutionBackendTest, ThreadPoolRunsEveryJobToCompletion) {
   EXPECT_EQ(count.load(), 64);
 }
 
-TEST(ExecutionBackendTest, ThreadPoolStealingToggleRunsIdentically) {
-  // Stealing only changes which worker runs a job; both arms must run the
-  // whole batch.  The engine-level determinism tests below pin that the
-  // computed bytes cannot differ either.
-  for (const bool stealing : {true, false}) {
-    ThreadPoolBackend backend(4, stealing);
-    std::atomic<int> count{0};
-    std::vector<std::function<void()>> jobs(
-        96, [&count] { count.fetch_add(1); });
-    backend.Execute(std::move(jobs));
-    EXPECT_EQ(count.load(), 96) << "stealing=" << stealing;
-  }
+TEST(ExecutionBackendTest, ThreadPoolPropagatesAJobException) {
+  ThreadPoolBackend backend(4);
+  std::vector<std::function<void()>> jobs(
+      32, [] { throw std::runtime_error("job failed"); });
+  EXPECT_THROW(backend.Execute(std::move(jobs)), std::runtime_error);
+  // The backend is stateless between batches: the next one runs cleanly.
+  std::atomic<int> count{0};
+  std::vector<std::function<void()>> next(
+      8, [&count] { count.fetch_add(1); });
+  backend.Execute(std::move(next));
+  EXPECT_EQ(count.load(), 8);
 }
 
 TEST(ExecutionBackendTest, ExecuteIsReentrant) {

@@ -1,10 +1,10 @@
 // Golden determinism for the cost-aware scheduler: whatever the planner,
-// the stealing pool, or the demand-driven shard grants do to WHO computes
-// a chunk and WHEN, campaign CSV / JSONL streams must stay byte-identical
-// to the serial reference — including under fault-forced worst-case
-// interleavings (a stalled pool worker whose deque gets raided, a stalled
-// shard whose grants all flow to its sibling) and across a kill + resume
-// on the grant protocol itself.
+// the thread pool's shared queue, or the demand-driven shard grants do to
+// WHO computes a chunk and WHEN, campaign CSV / JSONL streams must stay
+// byte-identical to the serial reference — including under fault-forced
+// worst-case interleavings (a stalled pool worker whose siblings drain the
+// queue, a stalled shard whose grants all flow to its sibling) and across
+// a failure + resume on either transport.
 //
 // The spec is mixed-family on purpose: a C-PoS cell costs ~30x a PoW cell
 // per step, so the cost-aware planner emits genuinely heterogeneous chunk
@@ -53,7 +53,7 @@ struct Captured {
 
 // chunk_replications pinned at 2 (3 cells x 4 chunks = 12 chunks) so the
 // fault nth targeting below is stable; LPT dispatch and demand-driven
-// grants still come from the cost-aware schedule policy.
+// grants still apply.
 Captured RunCampaign(const core::ExecutionBackend* backend,
                      store::CampaignStore* store = nullptr) {
   std::ostringstream csv_out;
@@ -97,8 +97,8 @@ TEST_F(SchedulerGoldenTest, BackendsMatchSerialWithoutFaults) {
 
 TEST_F(SchedulerGoldenTest, WorstCaseStealingIsByteIdentical) {
   // Stall pool worker 0 for 150 ms after its first task: its siblings
-  // drain the batch, stealing everything worker 0 was dealt.  Maximal
-  // stealing must not move a byte.
+  // drain the rest of the shared queue.  The most lopsided legal
+  // interleaving must not move a byte.
   setenv("FAIRCHAIN_FAULT", "pool-task:0:1:stall=150", 1);
   const core::ThreadPoolBackend pool(4);
   const Captured pooled = RunCampaign(&pool);
@@ -114,6 +114,32 @@ TEST_F(SchedulerGoldenTest, WorstCaseGrantSkewIsByteIdentical) {
   const Captured sharded = RunCampaign(&backend);
   EXPECT_EQ(Reference().csv, sharded.csv);
   EXPECT_EQ(Reference().jsonl, sharded.jsonl);
+}
+
+TEST_F(SchedulerGoldenTest, PoolTaskThrowThenResumeReconverges) {
+  const std::string directory =
+      ::testing::TempDir() + "scheduler_golden_pool_resume";
+  fs::remove_all(directory);
+  store::CampaignStore store(directory);
+  // The in-process twin of the grant-protocol kill below.  A one-worker
+  // pool runs the chunks in LPT order, so the trigger is deterministic
+  // (on a wider pool worker 0 may never get a task): the four chunks of
+  // the most expensive cell come first and commit it, then the worker
+  // throws after its 5th chunk, the pool cancels the queued chunks and the
+  // campaign throws on the caller.  A fault-free resume on a 4-worker pool
+  // serves the committed cell from the store and must reconverge to the
+  // serial reference byte-for-byte.
+  const core::ThreadPoolBackend one_worker(1);
+  setenv("FAIRCHAIN_FAULT", "pool-task:0:5:throw", 1);
+  EXPECT_THROW(RunCampaign(&one_worker, &store), std::runtime_error);
+  unsetenv("FAIRCHAIN_FAULT");
+
+  const core::ThreadPoolBackend pool(4);
+  const Captured resumed = RunCampaign(&pool, &store);
+  EXPECT_EQ(store.stats().hits, 1u);
+  EXPECT_EQ(Reference().csv, resumed.csv);
+  EXPECT_EQ(Reference().jsonl, resumed.jsonl);
+  fs::remove_all(directory);
 }
 
 TEST_F(SchedulerGoldenTest, GrantProtocolKillThenResumeReconverges) {

@@ -4,6 +4,7 @@
 
 #include "sim/campaign.hpp"
 
+#include <new>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -167,21 +168,22 @@ TEST(CampaignRunnerTest, TinyCellsNeverShatterBelowTheCostFloor) {
   }
 }
 
-TEST(CampaignRunnerTest, StaticPolicyKeepsUniformChunks) {
-  // Opting out of cost-aware planning restores the legacy uniform split:
-  // ceil-divided chunks of equal size, identical across cells.
+TEST(CampaignRunnerTest, OversizedCellThrowsInsteadOfAbortingThePool) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators abort on oversized allocations "
+                  "instead of throwing std::bad_alloc";
+#endif
+  // 50 checkpoints x 4e12 replications of λ is petabytes: the first chunk's
+  // matrix allocation fails on a pool worker, and the failure must surface
+  // from Run on the calling thread rather than terminate the process.
+  const ScenarioSpec spec = ScenarioSpec::FromText(
+      "name=oversized\n"
+      "protocols=pow\n"
+      "reps=4000000000000\n");
+  const core::ThreadPoolBackend pool(4);
   CampaignOptions options;
-  options.threads = 4;
-  options.schedule = SchedulePolicy::kStatic;
-  const auto jobs = CampaignRunner(options).PlanJobs(SmallSpec());
-  std::size_t chunks_of_first = 0;
-  for (const ChunkJob& job : jobs) {
-    if (job.cell == 0) {
-      ++chunks_of_first;
-      EXPECT_EQ(job.end - job.begin, 4u);
-    }
-  }
-  EXPECT_EQ(chunks_of_first, 16u);
+  options.backend = &pool;
+  EXPECT_THROW(CampaignRunner(options).Run(spec, {}), std::bad_alloc);
 }
 
 TEST(CampaignRunnerTest, WithholdPeriodReachesTheSimulation) {

@@ -3,6 +3,7 @@
 // must survive its own fault experiments.
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,9 @@ TEST(FaultSpecTest, ParsesEveryAction) {
   const FaultSpec stall = ParseFaultSpec("shard-message:4:1:stall=250");
   EXPECT_EQ(stall.action, FaultSpec::Action::kStall);
   EXPECT_EQ(stall.argument, 250u);
+
+  const FaultSpec throw_spec = ParseFaultSpec("pool-task:0:1:throw");
+  EXPECT_EQ(throw_spec.action, FaultSpec::Action::kThrow);
 }
 
 TEST(FaultSpecTest, RejectsMalformedTriggers) {
@@ -93,6 +97,19 @@ TEST_F(FaultEnvTest, StallActionDelaysAndContinues) {
   setenv("FAIRCHAIN_FAULT", "unit-test-site:3:1:stall=10", 1);
   MaybeInjectFault("unit-test-site", 3, 1);
   SUCCEED();  // slept ~10ms, then returned
+}
+
+TEST_F(FaultEnvTest, ThrowActionRaisesARuntimeErrorNamingTheTrigger) {
+  setenv("FAIRCHAIN_FAULT", "unit-test-site:2:3:throw", 1);
+  MaybeInjectFault("unit-test-site", 2, 2);  // not yet
+  try {
+    MaybeInjectFault("unit-test-site", 2, 3);
+    FAIL() << "the throw action did not fire";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("unit-test-site:2:3"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 #ifndef _WIN32

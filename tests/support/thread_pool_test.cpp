@@ -4,7 +4,7 @@
 
 #include <atomic>
 #include <numeric>
-#include <thread>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,63 +83,46 @@ TEST(ThreadPoolTest, SubmitBatchMixesWithSubmit) {
   EXPECT_EQ(counter.load(), 12);
 }
 
-TEST(RunStealingBatchTest, ExecutesEveryTaskExactlyOnce) {
-  std::vector<std::atomic<int>> visits(257);  // prime-ish: uneven deal
+// A throwing task must not take the process down: Wait rethrows the first
+// exception, the queued tail of the batch is dropped, and the pool stays
+// usable for the next batch.
+TEST(ThreadPoolTest, TaskExceptionPropagatesFromWaitAndCancelsTheRest) {
+  ThreadPool pool(1);  // one worker: FIFO order makes the cancel exact
+  std::atomic<int> ran{0};
   std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < visits.size(); ++i) {
-    tasks.emplace_back([&visits, i] { visits[i].fetch_add(1); });
+  tasks.emplace_back([&ran] { ran.fetch_add(1); });
+  tasks.emplace_back([] { throw std::runtime_error("task 1 failed"); });
+  for (int i = 0; i < 8; ++i) {
+    tasks.emplace_back([&ran] { ran.fetch_add(1); });
   }
-  RunStealingBatch(4, std::move(tasks));
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(RunStealingBatchTest, SingleWorkerRunsInlineWithNoSteals) {
-  std::vector<int> order;
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 6; ++i) {
-    tasks.emplace_back([&order, i] { order.push_back(i); });
+  pool.SubmitBatch(std::move(tasks));
+  try {
+    pool.Wait();
+    FAIL() << "Wait did not rethrow the task's exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "task 1 failed");
   }
-  EXPECT_EQ(RunStealingBatch(1, std::move(tasks)), 0u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(ran.load(), 1);  // the 8 queued behind the throw never ran
+
+  pool.Submit([&ran] { ran.fetch_add(1); });
+  pool.Wait();  // the error was consumed: no rethrow
+  EXPECT_EQ(ran.load(), 2);
 }
 
-TEST(RunStealingBatchTest, EmptyBatchIsNoop) {
-  EXPECT_EQ(RunStealingBatch(4, {}), 0u);
-}
-
-// Force the imbalance the scheduler exists to fix: worker 0 owns one task
-// that blocks until every other task has run.  Without stealing the other
-// tasks dealt to worker 0's deque could only run after the blocker — so
-// the batch completing proves siblings stole them (and the returned count
-// records it).  The control arm pins the semantics of `stealing = false`:
-// the same deal executes statically and reports zero steals.
-TEST(RunStealingBatchTest, IdleWorkersStealFromTheBusyOne) {
-  constexpr int kTasks = 16;  // dealt round-robin onto 4 deques
-  std::atomic<int> done{0};
-  std::vector<std::function<void()>> tasks;
-  tasks.emplace_back([&done] {
-    // Task 0 (worker 0's deque front) waits for the rest of the batch.
-    while (done.load() < kTasks - 1) std::this_thread::yield();
-    done.fetch_add(1);
-  });
-  for (int i = 1; i < kTasks; ++i) {
-    tasks.emplace_back([&done] { done.fetch_add(1); });
-  }
-  const std::uint64_t steals = RunStealingBatch(4, std::move(tasks));
-  EXPECT_EQ(done.load(), kTasks);
-  // Worker 0 is stuck behind the blocker, so its remaining 3 tasks (4, 8,
-  // 12) must have been stolen for the blocker ever to release.
-  EXPECT_GE(steals, 3u);
-}
-
-TEST(RunStealingBatchTest, StealingDisabledRunsStaticDeal) {
-  std::atomic<int> count{0};
+TEST(ThreadPoolTest, FirstExceptionWinsAcrossWorkers) {
+  ThreadPool pool(4);
   std::vector<std::function<void()>> tasks(
-      64, [&count] { count.fetch_add(1); });
-  const std::uint64_t steals =
-      RunStealingBatch(4, std::move(tasks), /*stealing=*/false);
-  EXPECT_EQ(count.load(), 64);
-  EXPECT_EQ(steals, 0u);
+      64, [] { throw std::logic_error("every task fails"); });
+  pool.SubmitBatch(std::move(tasks));
+  EXPECT_THROW(pool.Wait(), std::logic_error);
+}
+
+TEST(ParallelForTest, BodyExceptionPropagates) {
+  EXPECT_THROW(ParallelFor(4, 100,
+                           [](std::size_t i) {
+                             if (i == 57) throw std::out_of_range("57");
+                           }),
+               std::out_of_range);
 }
 
 TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {
