@@ -203,11 +203,31 @@ void BM_Batched_SlPos(benchmark::State& state) {
 }
 BENCHMARK(BM_Batched_SlPos)->RangeMultiplier(10)->Range(2, 1000);
 
+// C-PoS at v = 0 (proposer slots only) and at the registry default
+// v = 0.1, where the inflation credit touches every miner each epoch.  The
+// extra m = 3 and m = 5 rows fill in the small multi-miner games (table1),
+// which run the conditional-binomial chain below
+// CPosModel::kChainMaxMiners; the cost model's kCPosPoints are read off
+// the v = 0.1 family.
 void BM_Batched_CPosEpoch(benchmark::State& state) {
   BatchedLoop(state, protocol::CPosModel(0.01, 0.0, 32),
               static_cast<std::size_t>(state.range(0)));
 }
-BENCHMARK(BM_Batched_CPosEpoch)->RangeMultiplier(10)->Range(2, 100000);
+BENCHMARK(BM_Batched_CPosEpoch)
+    ->RangeMultiplier(10)
+    ->Range(2, 100000)
+    ->Arg(3)
+    ->Arg(5);
+
+void BM_Batched_CPosEpochInflation(benchmark::State& state) {
+  BatchedLoop(state, protocol::CPosModel(0.01, 0.1, 32),
+              static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_Batched_CPosEpochInflation)
+    ->RangeMultiplier(10)
+    ->Range(2, 100000)
+    ->Arg(3)
+    ->Arg(5);
 
 // --- replication-vectorized lane stepping -----------------------------------
 
@@ -413,7 +433,7 @@ BENCHMARK(BM_ShardCampaign)
 // --- cost-aware scheduling --------------------------------------------------
 
 // Wall-clock of the registry's hetero-cost-mix campaign (C-PoS + PoW +
-// selfish-chain — a ~30x per-step cost spread across three cells) under
+// selfish-chain — a ~12x per-step cost spread across three cells) under
 // a static planner versus the cost-aware scheduler, on the thread pool and
 // the demand-driven shard backend.  The static arm is the coarse planner:
 // chunk_replications = replications, one cell-granular chunk per cell, so

@@ -1,6 +1,7 @@
 #include "math/distributions.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -27,19 +28,65 @@ std::uint64_t SampleGeometric(RngStream& rng, double p) {
 
 namespace {
 
-// CDF inversion starting from k = 0; O(np) expected steps.
+// Largest n served by the reciprocal table below.  Covers the C-PoS epoch
+// (n <= P = 32 slots) with room to spare.
+constexpr std::uint64_t kReciprocalTableSize = 64;
+
+// 1/k for k in [1, kReciprocalTableSize]: the inversion recurrence's
+// per-step divisions become multiplications.
+constexpr auto kReciprocals = [] {
+  std::array<double, kReciprocalTableSize + 1> table{};
+  for (std::uint64_t k = 1; k <= kReciprocalTableSize; ++k) {
+    table[k] = 1.0 / static_cast<double>(k);
+  }
+  return table;
+}();
+
+// base^exponent by repeated squaring: O(log exponent) multiplications,
+// no std::pow call on the hot path.
+double PowBySquaring(double base, std::uint64_t exponent) {
+  double result = 1.0;
+  while (exponent != 0) {
+    if ((exponent & 1) != 0) result *= base;
+    base *= base;
+    exponent >>= 1;
+  }
+  return result;
+}
+
+// CDF inversion starting from k = 0: one uniform, O(np) expected steps,
+// each one multiply-subtract (the 1/k table replaces the division).
+// Requires p <= 0.5, so q^n stays far from underflow for the n it serves
+// (n <= kReciprocalTableSize, or mean < 12).
 std::uint64_t BinomialInversionFromZero(RngStream& rng, std::uint64_t n,
                                         double p) {
   const double q = 1.0 - p;
   const double s = p / q;
-  double pmf = std::pow(q, static_cast<double>(n));
-  double cdf = pmf;
-  const double u = rng.NextDouble();
+  double pmf = PowBySquaring(q, n);
+  double u = rng.NextDouble() - pmf;
   std::uint64_t k = 0;
-  while (u > cdf && k < n) {
+  if (n <= kReciprocalTableSize) {
+    // Two steps per round, both terms scaled from the same pmf: the
+    // dependent multiply-subtract chain is half as long.
+    while (u > 0.0) {
+      if (k + 2 > n) return n;
+      const double t1 = s * (static_cast<double>(n - k) * kReciprocals[k + 1]);
+      const double t2 =
+          s * (static_cast<double>(n - k - 1) * kReciprocals[k + 2]);
+      const double p1 = pmf * t1;
+      const double p2 = pmf * (t1 * t2);
+      const double u1 = u - p1;
+      u -= p1 + p2;
+      pmf = p2;
+      if (u <= 0.0) return u1 > 0.0 ? k + 2 : k + 1;
+      k += 2;
+    }
+    return k;
+  }
+  while (u > 0.0 && k < n) {
     ++k;
     pmf *= s * (static_cast<double>(n - k + 1) / static_cast<double>(k));
-    cdf += pmf;
+    u -= pmf;
   }
   return k;
 }
@@ -82,23 +129,19 @@ std::uint64_t BinomialInversionFromMode(RngStream& rng, std::uint64_t n,
 }  // namespace
 
 std::uint64_t SampleBinomial(RngStream& rng, std::uint64_t n, double p) {
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {
     throw std::invalid_argument("SampleBinomial: p outside [0, 1]");
   }
   if (n == 0 || p == 0.0) return 0;
   if (p == 1.0) return n;
-  // Exploit symmetry so the walk is over the smaller tail.
-  if (p > 0.5) return n - SampleBinomial(rng, n, 1.0 - p);
-  const double mean = static_cast<double>(n) * p;
-  if (n <= 16) {
-    std::uint64_t successes = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      successes += rng.NextBernoulli(p) ? 1 : 0;
-    }
-    return successes;
-  }
-  if (mean < 12.0) return BinomialInversionFromZero(rng, n, p);
-  return BinomialInversionFromMode(rng, n, p);
+  // Walk the smaller tail: Bin(n, p) = n - Bin(n, 1 - p).
+  const bool flip = p > 0.5;
+  const double tail = flip ? 1.0 - p : p;
+  const std::uint64_t k =
+      n <= kReciprocalTableSize || static_cast<double>(n) * tail < 12.0
+          ? BinomialInversionFromZero(rng, n, tail)
+          : BinomialInversionFromMode(rng, n, tail);
+  return flip ? n - k : k;
 }
 
 std::size_t SampleCategorical(RngStream& rng,

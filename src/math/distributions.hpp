@@ -27,11 +27,13 @@ double SampleExponential(RngStream& rng, double rate);
 /// success, sampled in O(1) via the inverse transform.  p in (0, 1].
 std::uint64_t SampleGeometric(RngStream& rng, double p);
 
-/// Binomial(n, p).
+/// Binomial(n, p), from one uniform.
 ///
-/// Uses explicit Bernoulli summation for tiny n, CDF inversion from zero
-/// when the mean is small, and inversion from the mode otherwise, so the
-/// expected cost is O(sd) rather than O(n).
+/// Walks the smaller tail (p <= 0.5, by symmetry).  Small n (<= 64, which
+/// covers the C-PoS epoch's P slots) and small means use CDF inversion
+/// from zero: q^n by repeated squaring, then one multiply per step from a
+/// table of 1/k — no std::pow, no per-trial Bernoulli loop.  Larger draws
+/// invert from the mode, so the expected cost is O(sd) rather than O(n).
 std::uint64_t SampleBinomial(RngStream& rng, std::uint64_t n, double p);
 
 /// Categorical draw: returns index i with probability weights[i] / sum.

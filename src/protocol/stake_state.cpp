@@ -52,7 +52,36 @@ void StakeState::ReleaseWithheld() {
   if (released) {
     // A boundary can release up to m pending rewards at once; one O(m)
     // rebuild beats m separate O(log m) update paths.
-    sampler_.Build(stake_);
+    RebuildSampler();
+    ++stake_version_;
+  }
+}
+
+void StakeState::RebuildSampler() {
+  sampler_.Build(stake_);
+  sampler_stale_ = false;
+}
+
+void StakeState::CreditProportionalAndSlots(double per_stake,
+                                            double per_slot,
+                                            std::uint32_t* slots) {
+  const bool withholding = withhold_period_ != 0;
+  // Rewards become mining power now, or pending until the next boundary.
+  double* power = withholding ? pending_.data() : stake_.data();
+  // One pass, one running sum: the totals take the epoch's sum once
+  // instead of m dependent additions.
+  double minted = 0.0;
+  for (std::size_t i = 0; i < stake_.size(); ++i) {
+    const double reward = per_stake * stake_[i] + per_slot * slots[i];
+    slots[i] = 0;
+    income_[i] += reward;
+    power[i] += reward;
+    minted += reward;
+  }
+  total_income_ += minted;
+  if (!withholding) {
+    total_stake_ += minted;
+    sampler_stale_ = true;
     ++stake_version_;
   }
 }
@@ -70,7 +99,7 @@ void StakeState::Reset() {
   total_stake_ = initial_total_;
   total_income_ = 0.0;
   step_ = 0;
-  sampler_.Build(stake_);
+  RebuildSampler();
   ++stake_version_;
 }
 

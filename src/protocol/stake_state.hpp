@@ -16,7 +16,8 @@
 // the flat vectors, so proportional proposer selection
 // (SampleProportionalToStake) and reinforcement (Credit) are both O(log m)
 // — the property that lets one replication step stay cheap at 100k-miner
-// populations.  Reset and withholding releases rebuild the tree in O(m).
+// populations.  Reset, withholding releases and the fused epoch credit
+// (CreditProportionalAndSlots, then SyncSampler) rebuild the tree in O(m).
 
 #ifndef FAIRCHAIN_PROTOCOL_STAKE_STATE_HPP_
 #define FAIRCHAIN_PROTOCOL_STAKE_STATE_HPP_
@@ -143,11 +144,31 @@ class StakeState {
   /// Resets to the initial configuration (reuses allocations).
   void Reset();
 
+  /// Fused O(m) credit of one epoch's rewards (the C-PoS epoch): miner i
+  /// receives `per_stake * stake(i) + per_slot * slots[i]`, read against
+  /// the stakes at entry.  The reward is income and compounds —
+  /// immediately, or at the next boundary when withholding is enabled.
+  /// Resets every `slots[i]` to zero (the all-zero invariant of
+  /// slot_counts).  Only the flat vectors are written: when stakes change,
+  /// the sampler tree is left stale until SyncSampler, so a run of epochs
+  /// pays one O(m) rebuild instead of m O(log m) updates per epoch.
+  void CreditProportionalAndSlots(double per_stake, double per_slot,
+                                  std::uint32_t* slots);
+
+  /// Rebuilds the sampler tree after CreditProportionalAndSlots changed the
+  /// stakes, in O(m); a no-op when the tree is in sync.  Must run before
+  /// the next SampleProportionalTo*Stake and before the model returns.
+  void SyncSampler() {
+    if (sampler_stale_) RebuildSampler();
+  }
+
   /// Draws the next proposer proportionally to effective stake: one uniform
   /// from `rng`, one O(log m) Fenwick descent.  Zero-stake miners are never
   /// selected.  Equivalent in distribution to the classic O(m) cumulative
-  /// scan; the shared hot path of PoW / NEO / ML-PoS / FSL-PoS and of
-  /// C-PoS slot assignment.
+  /// scan; the shared hot path of PoW / NEO / ML-PoS / FSL-PoS, and of
+  /// C-PoS slot assignment above the model's miner-count crossover (below
+  /// it, C-PoS draws its slot counts as conditional binomials over the
+  /// flat stakes and never descends the tree).
   std::size_t SampleProportionalToStake(RngStream& rng) const {
     return sampler_.Sample(rng.NextDouble());
   }
@@ -187,6 +208,17 @@ class StakeState {
   /// `mutable` because scratch contents are not observable game state.
   std::vector<std::size_t>& index_scratch() const { return index_scratch_; }
 
+  /// Per-miner slot-count scratch (miner_count entries), all zero between
+  /// uses: a user tallies into it and hands it to
+  /// CreditProportionalAndSlots, or zeroes the entries it touched.  Sized
+  /// on first use; same ownership rationale as index_scratch.
+  std::uint32_t* slot_counts() const {
+    if (slot_counts_.size() != stake_.size()) {
+      slot_counts_.assign(stake_.size(), 0);
+    }
+    return slot_counts_.data();
+  }
+
   /// Appends each miner's wealth — initial resource plus all credited
   /// income, whether or not it compounds or is still withheld — to `out`
   /// (resized to miner_count).  The basis of the population concentration
@@ -198,6 +230,9 @@ class StakeState {
   /// out of line because a release rebuilds the sampler tree in O(m).
   void ReleaseWithheld();
 
+  /// Rebuilds the sampler tree from stake_ and clears sampler_stale_.
+  void RebuildSampler();
+
   std::vector<double> initial_;
   std::vector<double> stake_;
   std::vector<double> income_;
@@ -205,12 +240,14 @@ class StakeState {
   FenwickSampler sampler_;
   mutable WinProbabilityCache win_probability_cache_;
   mutable std::vector<std::size_t> index_scratch_;
+  mutable std::vector<std::uint32_t> slot_counts_;
   double initial_total_ = 0.0;
   double total_stake_ = 0.0;
   double total_income_ = 0.0;
   std::uint64_t step_ = 0;
   std::uint64_t withhold_period_ = 0;
   std::uint64_t stake_version_ = 0;
+  bool sampler_stale_ = false;  // stake_ moved since the last tree build
 };
 
 }  // namespace fairchain::protocol

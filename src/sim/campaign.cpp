@@ -11,6 +11,7 @@
 #include <new>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "chain/chain_replication.hpp"
 #include "core/execution_backend.hpp"
@@ -51,22 +52,69 @@ struct CellExecution {
   std::string protocol_name;  // model->name(), or the chain dynamics name
   std::vector<double> stakes;
   CellMatrices matrices;  // allocated by the cell's first chunk
+  std::size_t matrix_bytes = 0;  // CellMatrixBytes, checked at bind time
+  std::string label;             // "campaign S cell C (protocol)" for errors
   std::once_flag allocate_once;
   std::atomic<std::size_t> remaining_chunks{0};
   core::SimulationResult result;
   bool reduced = false;
 };
 
+// Bytes of a cell's result matrices: one λ row per checkpoint plus the
+// population or chain plane rows, each `replications` doubles wide.  The
+// replication count comes straight from the spec, so the product is
+// overflow-checked: a spec whose matrices cannot even be sized is rejected
+// at bind time, before any planning or allocation, naming the cell and
+// the request.
+std::size_t CellMatrixBytes(const CellExecution& execution) {
+  const core::SimulationConfig& config = execution.config;
+  std::size_t planes = 1;
+  if (config.population_metrics) planes += core::kPopulationMetricCount;
+  if (execution.chain) planes += chain::kChainMetricCount;
+  const std::size_t rows = planes * config.checkpoints.size();
+  std::size_t bytes = 0;
+  if (__builtin_mul_overflow(rows, config.replications, &bytes) ||
+      __builtin_mul_overflow(bytes, sizeof(double), &bytes)) {
+    throw std::length_error(
+        execution.label + ": result matrices of " + std::to_string(rows) +
+        " rows x " + std::to_string(config.replications) +
+        " replications x 8 bytes exceed 2^64 bytes");
+  }
+  return bytes;
+}
+
+// Thrown when a cell's result matrices cannot be allocated.  Still a
+// std::bad_alloc, so callers that handle allocation failure keep working,
+// but its message names the cell and the bytes requested.
+class MatrixAllocationError : public std::bad_alloc {
+ public:
+  explicit MatrixAllocationError(std::string message)
+      : message_(std::move(message)) {}
+  const char* what() const noexcept override { return message_.c_str(); }
+
+ private:
+  std::string message_;
+};
+
 CellMatrices AllocateMatrices(const CellExecution& execution) {
   const core::SimulationConfig& config = execution.config;
   CellMatrices matrices;
-  matrices.lambdas.assign(config.checkpoints.size() * config.replications,
-                          0.0);
-  if (config.population_metrics) {
-    matrices.population.assign(core::PopulationMatrixSize(config), 0.0);
-  }
-  if (execution.chain) {
-    matrices.chain.assign(chain::ChainMatrixSize(config), 0.0);
+  try {
+    matrices.lambdas.assign(config.checkpoints.size() * config.replications,
+                            0.0);
+    if (config.population_metrics) {
+      matrices.population.assign(core::PopulationMatrixSize(config), 0.0);
+    }
+    if (execution.chain) {
+      matrices.chain.assign(chain::ChainMatrixSize(config), 0.0);
+    }
+  } catch (const std::bad_alloc&) {
+    // Only a huge request fails this way in practice, and its failure
+    // leaves the heap untouched, so composing the message is safe.
+    throw MatrixAllocationError(
+        execution.label + ": cannot allocate " +
+        std::to_string(execution.matrix_bytes) +
+        " bytes for its result matrices");
   }
   return matrices;
 }
@@ -283,6 +331,12 @@ std::string CellStorePreimage(const ScenarioSpec& spec,
   out += "\nepsilon=" + DoubleBits(spec.fairness.epsilon);
   out += "\ndelta=" + DoubleBits(spec.fairness.delta);
   out += "\n";
+  // C-PoS kernel revision, appended to cpos preimages only.  Revision 2 is
+  // the conditional-binomial / fused-inflation epoch, whose RNG
+  // consumption and float summation order differ from the P-descent
+  // kernel that earlier entries were computed with; every other protocol's
+  // entries, and kStoreSchemaRevision, stay valid.
+  if (cell.protocol == "cpos") out += "cpos_kernel=2\n";
   // Appended ONLY when the cell actually resolves to the lane path: a
   // vectorized request that falls back to scalar (compounding model, no
   // lane kernel) produces byte-identical results, so it must also produce
@@ -381,16 +435,21 @@ std::vector<ChunkJob> CampaignRunner::PlanJobs(
   for (std::size_t cell = 0; cell < cells.size(); ++cell) {
     std::uint64_t chunk = options_.chunk_replications;
     if (chunk == 0) {
-      const double reps_per_chunk = target_ns / rep_ns[cell];
-      chunk = static_cast<std::uint64_t>(std::llround(reps_per_chunk));
+      // Rounded half away from zero (llround's rule), computed in double
+      // and clamped first, so a spec-sized replication count near 2^64
+      // can neither overflow the conversion nor the loop below.
+      const double reps_per_chunk = std::round(target_ns / rep_ns[cell]);
+      chunk = reps_per_chunk >= static_cast<double>(spec.replications)
+                  ? spec.replications
+                  : static_cast<std::uint64_t>(reps_per_chunk);
       chunk = std::clamp<std::uint64_t>(chunk, 1, spec.replications);
     }
-    for (std::uint64_t begin = 0; begin < spec.replications; begin += chunk) {
+    for (std::uint64_t begin = 0; begin < spec.replications;) {
       ChunkJob job;
       job.cell = cell;
       job.begin = static_cast<std::size_t>(begin);
-      job.end = static_cast<std::size_t>(
-          std::min(spec.replications, begin + chunk));
+      begin += std::min(chunk, spec.replications - begin);
+      job.end = static_cast<std::size_t>(begin);
       job.cost_ns =
           rep_ns[cell] * static_cast<double>(job.end - job.begin);
       jobs.push_back(job);
@@ -464,6 +523,10 @@ std::vector<CellOutcome> CampaignRunner::Run(
       execution->protocol_name = execution->model->name();
     }
     execution->stakes = cell.Stakes();
+    execution->label = "campaign " + spec.name + " cell " +
+                       std::to_string(cell.index) + " (" + cell.protocol +
+                       ")";
+    execution->matrix_bytes = CellMatrixBytes(*execution);
     executions.push_back(std::move(execution));
   }
 

@@ -163,6 +163,9 @@ core::SimulationConfig CellConfig(const ScenarioSpec& spec,
 /// ("fairchain-chain-cell-v1") over (dynamics, alpha, gamma, delay) plus
 /// the shared horizon fields, so they can never collide with incentive
 /// entries — whose preimages remain byte-identical to earlier revisions.
+/// C-PoS cells append a kernel revision ("cpos_kernel=2"), which retires
+/// entries computed by an earlier C-PoS epoch kernel without touching any
+/// other protocol's keys.
 std::string CellStorePreimage(const ScenarioSpec& spec,
                               const CampaignCell& cell);
 

@@ -32,9 +32,14 @@ constexpr PriorPoint kFslPosPoints[] = {
     {1000, 53.75}, {10000, 84.19}, {100000, 125.78}};
 constexpr PriorPoint kSlPosPoints[] = {
     {2, 16.82}, {10, 39.3}, {100, 326.27}, {1000, 2684.15}};
+// C-PoS from BM_Batched_CPosEpochInflation (v = 0.1, the registry
+// default).  Up to CPosModel::kChainMaxMiners the epoch is the
+// conditional-binomial chain; above it every epoch pays an O(m) inflation
+// sweep and tree rebuild, so v = 0 cells there cost far less than these
+// points (BM_Batched_CPosEpoch: ~2.4 µs at m = 1000).
 constexpr PriorPoint kCPosPoints[] = {
-    {2, 207.5}, {10, 1001.34}, {100, 1699.16},
-    {1000, 2357.74}, {10000, 3432.94}, {100000, 4478.97}};
+    {2, 60.88}, {10, 390.88}, {100, 1839.13},
+    {1000, 8119.32}, {10000, 60708.46}, {100000, 599551.51}};
 
 constexpr PriorTable kPriorTables[] = {
     {"pow", kPowPoints, std::size(kPowPoints)},

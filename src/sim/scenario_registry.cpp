@@ -267,7 +267,7 @@ ScenarioRegistry BuildBuiltIns() {
     spec.name = "hetero-cost-mix";
     spec.description =
         "Deliberately imbalanced mixed-family grid (C-PoS epoch machine "
-        "vs PoW vs selfish-mining chain cells, ~30x cost spread per "
+        "vs PoW vs selfish-mining chain cells, ~12x cost spread per "
         "replication) — the cost-aware scheduler benchmark workload";
     spec.family = ScenarioFamily::kMixed;
     spec.protocols = {"cpos", "pow", "selfish"};

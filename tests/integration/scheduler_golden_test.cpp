@@ -6,8 +6,9 @@
 // queue, a stalled shard whose grants all flow to its sibling) and across
 // a failure + resume on either transport.
 //
-// The spec is mixed-family on purpose: a C-PoS cell costs ~30x a PoW cell
-// per step, so the cost-aware planner emits genuinely heterogeneous chunk
+// The spec is mixed-family on purpose: a C-PoS cell costs ~12x a PoW cell
+// per step (two miners: a conditional-binomial epoch against one weighted
+// draw), so the cost-aware planner emits genuinely heterogeneous chunk
 // geometry and LPT dispatch order here rather than a uniform grid.
 
 #ifndef _WIN32

@@ -4,10 +4,13 @@
 #include "math/distributions.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "math/ks_test.hpp"
 #include "math/special.hpp"
 #include "support/stats.hpp"
 
@@ -108,8 +111,9 @@ TEST(BinomialTest, WithinSupport) {
   }
 }
 
-// Parameterized moment checks across the sampler's three internal regimes:
-// tiny n (explicit), small mean (inversion from 0), large mean (from mode).
+// Parameterized moment checks across the sampler's internal regimes: small
+// n (table-driven inversion from 0), large n with a small mean (inversion
+// from 0), large mean (from the mode), and p > 0.5 (symmetry).
 class BinomialMomentTest
     : public ::testing::TestWithParam<std::pair<std::uint64_t, double>> {};
 
@@ -129,7 +133,7 @@ TEST_P(BinomialMomentTest, MeanAndVarianceMatch) {
 
 INSTANTIATE_TEST_SUITE_P(
     Regimes, BinomialMomentTest,
-    ::testing::Values(std::make_pair(8u, 0.3),      // explicit summation
+    ::testing::Values(std::make_pair(8u, 0.3),      // small n
                       std::make_pair(32u, 0.2),     // C-PoS shard regime
                       std::make_pair(200u, 0.02),   // inversion from zero
                       std::make_pair(500u, 0.4),    // inversion from mode
@@ -150,6 +154,36 @@ TEST(BinomialTest, DistributionMatchesExactPmf) {
         << "k=" << k;
   }
 }
+
+// Pearson chi-square of SampleBinomial against the exact pmf over the
+// grid the C-PoS conditional-binomial chain exercises: n from a single
+// remaining slot up to P = 32, p from a minnow's share to a whale's
+// (p = 0.9 runs through the symmetry flip, p = 0.5 sits on its edge).
+class BinomialChiSquareTest
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
+
+TEST_P(BinomialChiSquareTest, MatchesExactPmf) {
+  const auto [n, p] = GetParam();
+  RngStream rng(4000 + n * 1000 + static_cast<std::uint64_t>(p * 100.0));
+  const int reps = 100000;
+  std::vector<std::uint64_t> counts(n + 1, 0);
+  for (int i = 0; i < reps; ++i) {
+    const std::uint64_t k = SampleBinomial(rng, n, p);
+    ASSERT_LE(k, n);
+    ++counts[k];
+  }
+  std::vector<double> pmf(n + 1);
+  for (std::uint64_t k = 0; k <= n; ++k) pmf[k] = BinomialPmf(n, k, p);
+  const ChiSquareResult result = ChiSquareGofTest(counts, pmf);
+  EXPECT_GT(result.p_value, 1e-4)
+      << "n=" << n << " p=" << p << " chi2=" << result.statistic
+      << " df=" << result.degrees;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ChainGrid, BinomialChiSquareTest,
+    ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 32),
+                       ::testing::Values(0.01, 0.33, 0.5, 0.9)));
 
 TEST(CategoricalTest, FrequenciesMatchWeights) {
   RngStream rng(13);

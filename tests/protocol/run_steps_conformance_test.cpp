@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "protocol/c_pos.hpp"
 #include "protocol/hybrid.hpp"
 #include "protocol/incentive_model.hpp"
 #include "protocol/model_factory.hpp"
@@ -131,6 +132,34 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, RunStepsConformanceTest,
                            }
                            return name;
                          });
+
+// C-PoS switches kernels at CPosModel::kChainMaxMiners: the generic cases
+// above all run its conditional-binomial chain, whose tree rebuild is
+// deferred to the end of each Step / RunSteps call.  These pin the
+// descent branch too (rebuild every epoch), with and without inflation,
+// under withholding, and with a zero-stake miner first or last.
+TEST(RunStepsConformanceTest, CPosConformsOnBothSidesOfTheCrossover) {
+  for (const std::size_t miners :
+       {CPosModel::kChainMaxMiners, CPosModel::kChainMaxMiners + 1}) {
+    std::vector<double> stakes(miners);
+    for (std::size_t i = 0; i < miners; ++i) {
+      stakes[i] = 1.0 / static_cast<double>(i + 1);
+    }
+    std::vector<double> zero_first = stakes;
+    zero_first.front() = 0.0;
+    std::vector<double> zero_last = stakes;
+    zero_last.back() = 0.0;
+    for (const double v : {0.0, 0.1}) {
+      const CPosModel model(0.01, v, 32);
+      SCOPED_TRACE("m=" + std::to_string(miners) +
+                   " v=" + std::to_string(v));
+      ExpectConformance(model, stakes, 0);
+      ExpectConformance(model, stakes, 7);
+      ExpectConformance(model, zero_first, 0);
+      ExpectConformance(model, zero_last, 7);
+    }
+  }
+}
 
 // HybridModel has no batched override; this pins that the base-class
 // default is itself conformant (it IS the reference loop) and honours the

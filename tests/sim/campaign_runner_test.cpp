@@ -6,6 +6,8 @@
 
 #include <new>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -184,6 +186,74 @@ TEST(CampaignRunnerTest, OversizedCellThrowsInsteadOfAbortingThePool) {
   CampaignOptions options;
   options.backend = &pool;
   EXPECT_THROW(CampaignRunner(options).Run(spec, {}), std::bad_alloc);
+}
+
+TEST(CampaignRunnerTest, UnsizableMatricesAreRejectedNamingTheCell) {
+  // checkpoints x 2^64-1 replications x 8 B overflows 64 bits: Run must
+  // refuse the spec before planning or allocating anything, and say which
+  // scenario and cell asked for how much.
+  const ScenarioSpec spec = ScenarioSpec::FromText(
+      "name=oversized\n"
+      "protocols=pow,cpos\n"
+      "reps=18446744073709551615\n");
+  try {
+    CampaignRunner().Run(spec, {});
+    FAIL() << "expected std::length_error";
+  } catch (const std::length_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("campaign oversized cell 0 (pow)"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("18446744073709551615 replications"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(CampaignRunnerTest, PlanningCoversReplicationCountsNearTheLimit) {
+  // Chunk arithmetic must not wrap: the plan for 2^64-1 replications ends
+  // exactly at the replication count, in a handful of chunks per cell.
+  ScenarioSpec spec = SmallSpec();
+  spec.replications = 18446744073709551615ULL;
+  const auto jobs = CampaignRunner().PlanJobs(spec);
+  ASSERT_FALSE(jobs.empty());
+  EXPECT_LT(jobs.size(), 1000u);
+  std::size_t previous_cell = jobs.front().cell;
+  std::uint64_t next_begin = 0;
+  for (const ChunkJob& job : jobs) {
+    if (job.cell != previous_cell) {
+      EXPECT_EQ(next_begin, spec.replications);
+      next_begin = 0;
+      previous_cell = job.cell;
+    }
+    EXPECT_EQ(job.begin, next_begin);
+    EXPECT_GT(job.end, job.begin);
+    next_begin = job.end;
+  }
+  EXPECT_EQ(next_begin, spec.replications);
+}
+
+TEST(CampaignRunnerTest, UnallocatableMatricesNameTheCellAndBytes) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators abort on oversized allocations "
+                  "instead of throwing std::bad_alloc";
+#endif
+  // 50 checkpoints x 4e12 replications x 5 planes x 8 B = 8e15 bytes: the
+  // size is representable, the allocation fails.
+  const ScenarioSpec spec = ScenarioSpec::FromText(
+      "name=oversized\n"
+      "protocols=pow\n"
+      "reps=4000000000000\n");
+  try {
+    CampaignRunner().Run(spec, {});
+    FAIL() << "expected std::bad_alloc";
+  } catch (const std::bad_alloc& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("campaign oversized cell 0 (pow)"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("cannot allocate 8000000000000000 bytes"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(CampaignRunnerTest, WithholdPeriodReachesTheSimulation) {

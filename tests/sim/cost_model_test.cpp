@@ -35,10 +35,10 @@ class CostModelTest : public ::testing::Test {
 };
 
 TEST_F(CostModelTest, PriorsOrderProtocolsByKernelWeight) {
-  // The spread the scheduler exists to balance: a C-PoS epoch walks P
-  // committees per step while a PoW step is one weighted draw.  The model
-  // must reproduce the coarse ordering cpos >> slpos > mlpos > pow at the
-  // same steps and miner count.
+  // The spread the scheduler exists to balance: a C-PoS epoch assigns P
+  // slots and credits every miner per step, while a PoW step is one
+  // weighted draw.  The model must reproduce the coarse ordering
+  // cpos >> slpos > mlpos > pow at the same steps and miner count.
   CostModel& model = CostModel::Global();
   const std::uint64_t steps = 1000;
   const double pow_ns = model.EstimateReplicationNs(Cell("pow"), steps);
@@ -48,8 +48,10 @@ TEST_F(CostModelTest, PriorsOrderProtocolsByKernelWeight) {
   EXPECT_GT(mlpos_ns, pow_ns);
   EXPECT_GT(slpos_ns, mlpos_ns);
   EXPECT_GT(cpos_ns, slpos_ns);
-  // C-PoS at two miners really is an order of magnitude above PoW.
-  EXPECT_GT(cpos_ns, 10.0 * pow_ns);
+  // C-PoS at two miners is one conditional-binomial draw plus a two-miner
+  // credit sweep: ~61 ns against ~5-6.7 ns for PoW in the recorded
+  // BM_Batched_* rows (9-12x).  Assert most of that spread.
+  EXPECT_GT(cpos_ns, 6.0 * pow_ns);
 }
 
 TEST_F(CostModelTest, EstimatesScaleLinearlyInSteps) {

@@ -140,6 +140,44 @@ TEST(CellPreimageTest, CoversResultDeterminantsAndNothingElse) {
   EXPECT_NE(sim::CellStorePreimage(tighter, tighter.ExpandCells()[0]), base);
 }
 
+TEST(CellPreimageTest, CPosKernelRevisionForksOnlyCPosKeys) {
+  // The C-PoS kernel revision must retire C-PoS entries and nothing else:
+  // the pow and chain preimages below are pinned byte for byte to the
+  // revision before the fork, so their stored entries stay valid.
+  const sim::ScenarioSpec spec = sim::ScenarioSpec::FromText(
+      "name=pin\nfamily=mixed\nprotocols=pow,cpos,selfish\na=0.3\n"
+      "gamma=0.5\nsteps=100\nreps=8\ncheckpoints=2\n");
+  const auto cells = spec.ExpandCells();
+  ASSERT_EQ(cells.size(), 3u);
+  const std::string fairness =
+      "epsilon=3fb999999999999a\ndelta=3fb999999999999a\n";
+  const std::string incentive_head =
+      "w=3f847ae147ae147b\nv=3fb999999999999a\nshards=32\nwithhold=0\n"
+      "miner=0\nstakes=3fd3333333333333,3fe6666666666666\n";
+  const std::string pow_before =
+      "fairchain-cell-v1\nprotocol=pow\n" + incentive_head +
+      "steps=100\nreplications=8\nseed=13009131085637265124\n"
+      "checkpoints=50,100\npopulation_metrics=1\nkeep_final_lambdas=1\n" +
+      fairness;
+  const std::string cpos_before =
+      "fairchain-cell-v1\nprotocol=cpos\n" + incentive_head +
+      "steps=100\nreplications=8\nseed=12327657418873624412\n"
+      "checkpoints=50,100\npopulation_metrics=1\nkeep_final_lambdas=1\n" +
+      fairness;
+  const std::string chain_before =
+      "fairchain-chain-cell-v1\ndynamics=selfish\n"
+      "alpha=3fd3333333333333\ngamma=3fe0000000000000\n"
+      "delay=0000000000000000\nsteps=100\nreplications=8\n"
+      "seed=14441995510089972694\ncheckpoints=50,100\n"
+      "keep_final_lambdas=1\n" +
+      fairness;
+  EXPECT_EQ(sim::CellStorePreimage(spec, cells[0]), pow_before);
+  EXPECT_EQ(sim::CellStorePreimage(spec, cells[2]), chain_before);
+  const std::string cpos_now = sim::CellStorePreimage(spec, cells[1]);
+  EXPECT_NE(cpos_now, cpos_before);
+  EXPECT_EQ(cpos_now, cpos_before + "cpos_kernel=2\n");
+}
+
 class CampaignStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
