@@ -51,6 +51,7 @@
 #include "chain/chain_replication.hpp"
 #include "core/execution_backend.hpp"
 #include "core/monte_carlo.hpp"
+#include "core/population.hpp"
 #include "core/replication_block_workspace.hpp"
 #include "core/replication_workspace.hpp"
 #include "obs/metrics.hpp"
@@ -533,14 +534,70 @@ void BM_ObsInstrumented_MlPos(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsInstrumented_MlPos)->Arg(1000);
 
+// --- population metrics -----------------------------------------------------
+
+// ns per population measurement over a recorded ML-PoS (w = 0.01)
+// trajectory of pareto:1.16 stakes: the wealth vector at each of 12
+// checkpoints 250 steps apart, the pareto-population scenario's schedule.
+// Arg 1 = carried order: a replication's measurements run in order
+// through PopulationOrders (Restart, then one O(m + k log k) Measure per
+// checkpoint), exactly as the engine drives them.  Arg 0 = the
+// from-scratch sort (MeasurePopulation, O(m log m) per checkpoint), the
+// simplest alternative.  Both measure the same vectors, so items/s
+// compare directly.
+constexpr std::uint64_t kPopulationSegment = 250;
+constexpr std::size_t kPopulationCheckpoints = 12;
+
+std::vector<std::vector<double>> RecordedMlPosWealth(std::size_t miners) {
+  const protocol::MlPosModel model(0.01);
+  protocol::StakeState state(ParetoStakes(miners));
+  RngStream rng(20210620);
+  std::vector<std::vector<double>> trajectory(kPopulationCheckpoints);
+  for (std::vector<double>& wealth : trajectory) {
+    model.RunSteps(state, state.step(), kPopulationSegment, rng);
+    state.WealthVector(&wealth);
+  }
+  return trajectory;
+}
+
+void BM_PopulationMeasure(benchmark::State& bench_state) {
+  const auto miners = static_cast<std::size_t>(bench_state.range(0));
+  const bool carried = bench_state.range(1) != 0;
+  const std::vector<std::vector<double>> trajectory =
+      RecordedMlPosWealth(miners);
+  core::PopulationOrders orders;
+  orders.Bind(ParetoStakes(miners), 1);
+  std::vector<double> scratch;
+  double checksum = 0.0;
+  for (auto _ : bench_state) {
+    if (carried) {
+      orders.Restart(0);
+      for (const std::vector<double>& wealth : trajectory) {
+        checksum += orders.Measure(0, wealth).gini;
+      }
+    } else {
+      for (const std::vector<double>& wealth : trajectory) {
+        checksum += core::MeasurePopulation(wealth, &scratch).gini;
+      }
+    }
+  }
+  benchmark::DoNotOptimize(checksum);
+  bench_state.SetItemsProcessed(static_cast<int64_t>(
+      bench_state.iterations() *
+      static_cast<int64_t>(kPopulationCheckpoints)));
+}
+BENCHMARK(BM_PopulationMeasure)
+    ->ArgsProduct({{100, 1000, 10000}, {0, 1}});
+
 // --- zero-allocation property -----------------------------------------------
 
 // Steady-state replications in a bound workspace must not allocate: after
 // one warm-up replication (Bind allocates the arena once), a full
 // replication — Reset, checkpoint-segment RunSteps, λ recording, and the
-// population-metric sort — must leave the global allocation counter
-// untouched.  The benchmark FAILS (SkipWithError) on any allocation, so a
-// future accidental per-step vector shows up in CI, not in a profile.
+// carried population-metric measurement — must leave the global
+// allocation counter untouched.  The benchmark FAILS (SkipWithError) on
+// any allocation, so a future accidental per-step vector shows up in CI,
+// not in a profile.
 void ZeroAllocLoop(benchmark::State& bench_state,
                    const protocol::IncentiveModel& model,
                    std::size_t miners, bool population) {

@@ -239,8 +239,8 @@ void StepChainEvents(const ChainGameSpec& spec, ChainGameState& state,
 }
 
 std::size_t ChainMatrixSize(const core::SimulationConfig& config) {
-  return kChainMetricCount * config.checkpoints.size() *
-         static_cast<std::size_t>(config.replications);
+  return core::ResultMatrixBytes(config, kChainMetricCount, "chain matrix") /
+         sizeof(double);
 }
 
 void ChainReplicationWorkspace::Bind(const ChainGameSpec& spec) {

@@ -151,7 +151,8 @@ inline constexpr std::size_t kChainMetricCount = 3;
 /// (checkpoints × replications), laid out
 /// chain_matrix[(metric * cp_count + c) * replications + r] — the same
 /// plane layout as core::PopulationMatrixSize, so shard payloads marshal
-/// chain planes exactly like population planes.
+/// chain planes exactly like population planes.  Checked like
+/// core::ResultMatrixBytes (throws std::length_error).
 std::size_t ChainMatrixSize(const core::SimulationConfig& config);
 
 /// Per-worker arena for chain replications — the chain twin of

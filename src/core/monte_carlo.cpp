@@ -22,6 +22,16 @@ bool TraceDetailEnabled() {
   return enabled;
 }
 
+// Writes one (checkpoint, replication) snapshot into the
+// PopulationMatrixSize layout: metric planes of `plane` doubles each.
+void RecordPopulation(const PopulationSnapshot& snapshot, std::size_t cell,
+                      std::size_t plane, double* population_matrix) {
+  population_matrix[0 * plane + cell] = snapshot.gini;
+  population_matrix[1 * plane + cell] = snapshot.hhi;
+  population_matrix[2 * plane + cell] = snapshot.nakamoto;
+  population_matrix[3 * plane + cell] = snapshot.top_decile_share;
+}
+
 }  // namespace
 
 void SimulationConfig::Validate() const {
@@ -91,9 +101,32 @@ bool UsesVectorizedStepping(const protocol::IncentiveModel& model,
 }
 
 std::size_t PopulationMatrixSize(const SimulationConfig& config) {
-  return kPopulationMetricCount * config.checkpoints.size() *
-         static_cast<std::size_t>(config.replications);
+  return ResultMatrixBytes(config, kPopulationMetricCount,
+                           "population matrix") /
+         sizeof(double);
 }
+
+std::size_t ResultMatrixBytes(const SimulationConfig& config,
+                              std::size_t planes, const std::string& label) {
+  std::size_t rows = 0;
+  std::size_t bytes = 0;
+  if (__builtin_mul_overflow(planes, config.checkpoints.size(), &rows) ||
+      __builtin_mul_overflow(rows, config.replications, &bytes) ||
+      __builtin_mul_overflow(bytes, sizeof(double), &bytes)) {
+    throw std::length_error(
+        label + ": result matrices of " + std::to_string(rows) + " rows x " +
+        std::to_string(config.replications) +
+        " replications x 8 bytes exceed 2^64 bytes");
+  }
+  return bytes;
+}
+
+MatrixAllocationError::MatrixAllocationError(const std::string& label,
+                                             std::size_t bytes,
+                                             std::uint64_t replications)
+    : message_(label + ": cannot allocate " + std::to_string(bytes) +
+               " bytes for the result matrices of " +
+               std::to_string(replications) + " replications") {}
 
 void RunReplicationBlockRange(const protocol::IncentiveModel& model,
                               const std::vector<double>& initial_stakes,
@@ -123,13 +156,19 @@ void RunReplicationBlockRange(const protocol::IncentiveModel& model,
   protocol::LaneStakeState& block = workspace.block();
   PhiloxLanes& rng = workspace.rng();
   std::vector<double>* wealth = workspace.wealth_buffer();
-  std::vector<double>* scratch = workspace.population_scratch();
+  PopulationOrders& orders = workspace.population();
+  if (population_matrix != nullptr) {
+    orders.Bind(initial_stakes, kReplicationLaneWidth);
+  }
   for (std::size_t block_begin = begin; block_begin < end;
        block_begin += kReplicationLaneWidth) {
     const std::size_t width =
         std::min(kReplicationLaneWidth, end - block_begin);
     block.Reset(initial_stakes, width, /*compounding=*/false);
     rng.Reset(config.seed, /*first_lane=*/block_begin, width);
+    if (population_matrix != nullptr) {
+      for (std::size_t l = 0; l < width; ++l) orders.Restart(l);
+    }
     std::uint64_t done = 0;
     for (std::size_t cp = 0; cp < cp_count; ++cp) {
       const std::uint64_t target = config.checkpoints[cp];
@@ -141,14 +180,8 @@ void RunReplicationBlockRange(const protocol::IncentiveModel& model,
             block.RewardFraction(l, config.miner);
         if (population_matrix != nullptr) {
           block.WealthVector(l, wealth);
-          const PopulationSnapshot snapshot =
-              MeasurePopulation(*wealth, scratch);
-          const std::size_t cell = cp * reps + rep;
-          const std::size_t plane = cp_count * reps;
-          population_matrix[0 * plane + cell] = snapshot.gini;
-          population_matrix[1 * plane + cell] = snapshot.hhi;
-          population_matrix[2 * plane + cell] = snapshot.nakamoto;
-          population_matrix[3 * plane + cell] = snapshot.top_decile_share;
+          RecordPopulation(orders.Measure(l, *wealth), cp * reps + rep,
+                           cp_count * reps, population_matrix);
         }
       }
     }
@@ -197,9 +230,11 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
   workspace.Bind(initial_stakes, config.withhold_period);
   protocol::StakeState& state = workspace.state();
   std::vector<double>* wealth = workspace.wealth_buffer();
-  std::vector<double>* scratch = workspace.population_scratch();
+  PopulationOrders& orders = workspace.population();
+  if (population_matrix != nullptr) orders.Bind(initial_stakes, 1);
   for (std::size_t rep = begin; rep < end; ++rep) {
     state.Reset();
+    if (population_matrix != nullptr) orders.Restart(0);
     RngStream rng = master.Split(rep);
     // Checkpoint-segment stepping: one batched RunSteps per segment, so
     // the per-step work is the protocol's tight inner loop and the
@@ -218,14 +253,8 @@ void RunReplicationRange(const protocol::IncentiveModel& model,
       lambda_matrix[cp * reps + rep] = state.RewardFraction(config.miner);
       if (population_matrix != nullptr) {
         state.WealthVector(wealth);
-        const PopulationSnapshot snapshot =
-            MeasurePopulation(*wealth, scratch);
-        const std::size_t cell = cp * reps + rep;
-        const std::size_t plane = cp_count * reps;
-        population_matrix[0 * plane + cell] = snapshot.gini;
-        population_matrix[1 * plane + cell] = snapshot.hhi;
-        population_matrix[2 * plane + cell] = snapshot.nakamoto;
-        population_matrix[3 * plane + cell] = snapshot.top_decile_share;
+        RecordPopulation(orders.Measure(0, *wealth), cp * reps + rep,
+                         cp_count * reps, population_matrix);
       }
     }
     // Games historically ran to the horizon even when the last checkpoint
@@ -372,25 +401,39 @@ SimulationResult MonteCarloEngine::Run(
   }
   const std::uint64_t reps = config_.replications;
 
-  // lambda_matrix[c * reps + r] = λ of replication r at checkpoint c.
-  std::vector<double> lambda_matrix(config_.checkpoints.size() * reps);
-  std::vector<double> population_matrix(
-      config_.population_metrics ? PopulationMatrixSize(config_) : 0);
+  // lambda_matrix[c * reps + r] = λ of replication r at checkpoint c.  The
+  // sizes are checked before anything is allocated, and a failed
+  // allocation names the run, so an oversized request fails cleanly.
+  const std::string label = model.name() + " Monte Carlo run";
+  const std::size_t bytes = ResultMatrixBytes(
+      config_, 1 + (config_.population_metrics ? kPopulationMetricCount : 0),
+      label);
+  std::vector<double> lambda_matrix;
+  std::vector<double> population_matrix;
+  try {
+    lambda_matrix.assign(config_.checkpoints.size() * reps, 0.0);
+    if (config_.population_metrics) {
+      population_matrix.assign(PopulationMatrixSize(config_), 0.0);
+    }
+  } catch (const std::bad_alloc&) {
+    throw MatrixAllocationError(label, bytes, reps);
+  }
   double* population =
       population_matrix.empty() ? nullptr : population_matrix.data();
 
   // One contiguous replication chunk per concurrency slot; each job steps
   // in its worker's thread-local arena.  Replication r derives its stream
-  // from r alone, so the partition never shows in the output.
+  // from r alone, so the partition never shows in the output.  The chunk
+  // arithmetic cannot wrap, whatever the replication count.
   const std::size_t count = static_cast<std::size_t>(reps);
   const std::size_t slots =
       std::max<std::size_t>(1, std::min<std::size_t>(backend.Concurrency(),
                                                      count));
-  const std::size_t chunk = (count + slots - 1) / slots;
+  const std::size_t chunk = count / slots + (count % slots != 0 ? 1 : 0);
   std::vector<std::function<void()>> jobs;
   jobs.reserve(slots);
-  for (std::size_t begin = 0; begin < count; begin += chunk) {
-    const std::size_t end = std::min(count, begin + chunk);
+  for (std::size_t begin = 0, end = 0; begin < count; begin = end) {
+    end = begin + std::min(chunk, count - begin);
     jobs.push_back([&, begin, end] {
       RunReplicationRange(model, initial_stakes, config_, begin, end,
                           lambda_matrix.data(), population,

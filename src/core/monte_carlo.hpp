@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -70,9 +71,11 @@ struct SimulationConfig {
   /// Index of the miner whose λ is tracked (the paper's miner A).
   std::size_t miner = 0;
   /// Record population concentration metrics (Gini / HHI / Nakamoto /
-  /// top-decile share over miner wealth) at every checkpoint.  Costs one
-  /// O(m log m) sort per (replication, checkpoint); disable for pure
-  /// hot-path throughput runs at extreme populations.
+  /// top-decile share over miner wealth) at every checkpoint.  Costs
+  /// O(m + k log k) per (replication, checkpoint), k = miners credited
+  /// since the previous checkpoint (the wealth order is carried, see
+  /// core/population.hpp); disable for pure hot-path throughput runs at
+  /// extreme populations.
   bool population_metrics = true;
   /// Retain every replication's final-checkpoint λ in
   /// SimulationResult::final_lambdas (an O(replications) vector).  Keep on
@@ -192,8 +195,31 @@ bool UsesVectorizedStepping(const protocol::IncentiveModel& model,
 
 /// Number of doubles a per-replication population-metric matrix needs:
 /// kPopulationMetricCount planes of (checkpoints × replications).  Layout:
-/// population_matrix[(metric * cp_count + c) * replications + r].
+/// population_matrix[(metric * cp_count + c) * replications + r].  Checked
+/// like ResultMatrixBytes (throws std::length_error).
 std::size_t PopulationMatrixSize(const SimulationConfig& config);
+
+/// Bytes of `planes` result planes of (checkpoints × replications)
+/// doubles — a run's λ plane plus its population or chain planes.  The
+/// replication count comes straight from the caller's request, so the
+/// product is overflow-checked: when it does not fit in 64 bits this
+/// throws std::length_error naming `label`, the rows and the replications,
+/// before anything is allocated.
+std::size_t ResultMatrixBytes(const SimulationConfig& config,
+                              std::size_t planes, const std::string& label);
+
+/// Thrown when a run's result matrices cannot be allocated.  Still a
+/// std::bad_alloc, so callers that handle allocation failure keep working,
+/// but its message names `label`, the bytes and the replications.
+class MatrixAllocationError : public std::bad_alloc {
+ public:
+  MatrixAllocationError(const std::string& label, std::size_t bytes,
+                        std::uint64_t replications);
+  const char* what() const noexcept override { return message_.c_str(); }
+
+ private:
+  std::string message_;
+};
 
 /// Runs replications [begin, end) of `model` from `initial_stakes` under
 /// `config`, writing λ of replication r at checkpoint c into

@@ -10,10 +10,10 @@
 // partition, the chunk boundaries, and the backend are all invisible in
 // the output, exactly like thread chunking in the scalar engine.
 //
-// The arena is reused across lane blocks, chunks, and cells: LaneStakeState
-// and PhiloxLanes both recycle their buffers on Reset, so steady-state
-// stepping performs ZERO heap allocations (pinned by
-// bench/hotpath_bench.cpp's allocation counter).
+// The arena is reused across lane blocks, chunks, and cells: LaneStakeState,
+// PhiloxLanes and the per-lane carried wealth orders all recycle their
+// buffers, so steady-state stepping performs ZERO heap allocations (pinned
+// by bench/hotpath_bench.cpp's allocation counter).
 //
 // Threading: NOT thread-safe; every worker gets its own via
 // ThreadLocalReplicationBlockWorkspace().
@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/population.hpp"
 #include "protocol/lane_state.hpp"
 #include "support/philox.hpp"
 
@@ -55,14 +56,15 @@ class ReplicationBlockWorkspace {
   /// Wealth vector buffer for population-metric checkpoints.
   std::vector<double>* wealth_buffer() { return &wealth_; }
 
-  /// Sort scratch for core::MeasurePopulation.
-  std::vector<double>* population_scratch() { return &scratch_; }
+  /// Carried wealth orders for population-metric checkpoints; the
+  /// stepping loop Binds it only for cells with population metrics on.
+  PopulationOrders& population() { return population_; }
 
  private:
   protocol::LaneStakeState block_;
   PhiloxLanes rng_;
   std::vector<double> wealth_;
-  std::vector<double> scratch_;
+  PopulationOrders population_;
 };
 
 /// This thread's block workspace, default-constructed on first use — the

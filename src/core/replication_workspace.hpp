@@ -1,8 +1,9 @@
 // ReplicationWorkspace: the per-worker arena of the Monte Carlo hot path.
 //
 // One workspace owns everything a replication mutates — the game state
-// (including its Fenwick stake sampler) and the wealth / population-metric
-// scratch buffers — and is reused across replications, chunks, and cells.
+// (including its Fenwick stake sampler), the wealth buffer and the carried
+// population-metric wealth order — and is reused across replications,
+// chunks, and cells.
 // Binding to a cell's (initial stakes, withholding period) allocates; every
 // subsequent replication of the same cell only Reset()s in place, so
 // steady-state stepping performs ZERO heap allocations (pinned by
@@ -21,6 +22,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/population.hpp"
 #include "protocol/stake_state.hpp"
 
 namespace fairchain::core {
@@ -52,14 +54,15 @@ class ReplicationWorkspace {
   /// Wealth vector buffer for population-metric checkpoints.
   std::vector<double>* wealth_buffer() { return &wealth_; }
 
-  /// Sort scratch for core::MeasurePopulation.
-  std::vector<double>* population_scratch() { return &scratch_; }
+  /// Carried wealth orders for population-metric checkpoints; the
+  /// stepping loop Binds it only for cells with population metrics on.
+  PopulationOrders& population() { return population_; }
 
  private:
   std::optional<protocol::StakeState> state_;
   std::uint64_t bound_withhold_ = 0;
   std::vector<double> wealth_;
-  std::vector<double> scratch_;
+  PopulationOrders population_;
 };
 
 /// This thread's workspace, default-constructed on first use.  The serial

@@ -61,40 +61,17 @@ struct CellExecution {
 };
 
 // Bytes of a cell's result matrices: one λ row per checkpoint plus the
-// population or chain plane rows, each `replications` doubles wide.  The
-// replication count comes straight from the spec, so the product is
-// overflow-checked: a spec whose matrices cannot even be sized is rejected
-// at bind time, before any planning or allocation, naming the cell and
-// the request.
+// population or chain plane rows, each `replications` doubles wide,
+// checked at bind time (core::ResultMatrixBytes), before any planning or
+// allocation.
 std::size_t CellMatrixBytes(const CellExecution& execution) {
-  const core::SimulationConfig& config = execution.config;
   std::size_t planes = 1;
-  if (config.population_metrics) planes += core::kPopulationMetricCount;
-  if (execution.chain) planes += chain::kChainMetricCount;
-  const std::size_t rows = planes * config.checkpoints.size();
-  std::size_t bytes = 0;
-  if (__builtin_mul_overflow(rows, config.replications, &bytes) ||
-      __builtin_mul_overflow(bytes, sizeof(double), &bytes)) {
-    throw std::length_error(
-        execution.label + ": result matrices of " + std::to_string(rows) +
-        " rows x " + std::to_string(config.replications) +
-        " replications x 8 bytes exceed 2^64 bytes");
+  if (execution.config.population_metrics) {
+    planes += core::kPopulationMetricCount;
   }
-  return bytes;
+  if (execution.chain) planes += chain::kChainMetricCount;
+  return core::ResultMatrixBytes(execution.config, planes, execution.label);
 }
-
-// Thrown when a cell's result matrices cannot be allocated.  Still a
-// std::bad_alloc, so callers that handle allocation failure keep working,
-// but its message names the cell and the bytes requested.
-class MatrixAllocationError : public std::bad_alloc {
- public:
-  explicit MatrixAllocationError(std::string message)
-      : message_(std::move(message)) {}
-  const char* what() const noexcept override { return message_.c_str(); }
-
- private:
-  std::string message_;
-};
 
 CellMatrices AllocateMatrices(const CellExecution& execution) {
   const core::SimulationConfig& config = execution.config;
@@ -111,10 +88,8 @@ CellMatrices AllocateMatrices(const CellExecution& execution) {
   } catch (const std::bad_alloc&) {
     // Only a huge request fails this way in practice, and its failure
     // leaves the heap untouched, so composing the message is safe.
-    throw MatrixAllocationError(
-        execution.label + ": cannot allocate " +
-        std::to_string(execution.matrix_bytes) +
-        " bytes for its result matrices");
+    throw core::MatrixAllocationError(execution.label, execution.matrix_bytes,
+                                      config.replications);
   }
   return matrices;
 }

@@ -194,7 +194,8 @@ ScenarioRegistry BuildBuiltIns() {
     spec.steps = 2000;
     spec.replications = 100;
     spec.checkpoint_count = 8;
-    // One O(m log m) sort per (replication, checkpoint) would dominate the
+    // An O(m + k log k) measurement per (replication, checkpoint) — an
+    // O(m) pass over 100k miners at every checkpoint — would dominate the
     // O(log m) stepping this scenario exists to exercise; the
     // pareto-population scenario carries the concentration metrics.
     spec.population_metrics = false;

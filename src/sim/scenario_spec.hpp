@@ -148,9 +148,10 @@ struct ScenarioSpec {
   std::size_t checkpoint_count = 50;
   CheckpointSpacing spacing = CheckpointSpacing::kLinear;
   core::FairnessSpec fairness{0.1, 0.1};
-  /// Record Gini / HHI / Nakamoto / top-decile checkpoint metrics (one
-  /// O(m log m) sort per replication-checkpoint; turn off for pure
-  /// throughput scenarios at extreme populations).
+  /// Record Gini / HHI / Nakamoto / top-decile checkpoint metrics
+  /// (O(m + k log k) per replication-checkpoint, k = miners credited since
+  /// the previous checkpoint; turn off for pure throughput scenarios at
+  /// extreme populations).
   bool population_metrics = true;
   /// Retain per-replication final-checkpoint λ vectors in cell results
   /// (SimulationResult::final_lambdas, an O(replications) vector per

@@ -4,6 +4,9 @@
 #include "core/monte_carlo.hpp"
 
 #include <cmath>
+#include <new>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -413,6 +416,71 @@ TEST(MonteCarloEngineTest, FinalLambdasKeepReplicationOrder) {
   const std::size_t last = config.checkpoints.size() - 1;
   EXPECT_EQ(result.final_lambdas[7],
             lambda[last * config.replications + 7]);
+}
+
+TEST(ResultMatrixSizeTest, CountsEveryPlaneAndRejectsOverflow) {
+  SimulationConfig config = SmallConfig();  // 3 checkpoints x 400 reps
+  EXPECT_EQ(ResultMatrixBytes(config, 5, "run"), 5u * 3u * 400u * 8u);
+  EXPECT_EQ(PopulationMatrixSize(config), 4u * 3u * 400u);
+  // 4 planes x 1 checkpoint x 2^62 replications wraps 64 bits.
+  config.checkpoints = {200};
+  config.replications = 4611686018427387904ULL;
+  EXPECT_THROW((void)PopulationMatrixSize(config), std::length_error);
+  try {
+    (void)ResultMatrixBytes(config, 1, "my run");
+    FAIL() << "expected std::length_error";
+  } catch (const std::length_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("my run: result matrices of 1 rows x "
+                        "4611686018427387904 replications"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(MonteCarloEngineTest, UnsizableMatricesAreRejectedNamingTheRun) {
+  // 5 planes x 3 checkpoints x 2^61 replications x 8 B overflows 64 bits:
+  // Run must refuse before allocating or scheduling anything, naming the
+  // protocol and the request (this used to wrap to an empty matrix that
+  // the kernel then wrote through).
+  SimulationConfig config = SmallConfig();
+  config.replications = 2305843009213693952ULL;
+  const MonteCarloEngine engine(config, FairnessSpec{});
+  try {
+    (void)engine.RunTwoMiner(protocol::PowModel(0.01), 0.2);
+    FAIL() << "expected std::length_error";
+  } catch (const std::length_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("PoW Monte Carlo run"), std::string::npos) << what;
+    EXPECT_NE(what.find("2305843009213693952 replications"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("exceed 2^64 bytes"), std::string::npos) << what;
+  }
+}
+
+TEST(MonteCarloEngineTest, UnallocatableMatricesNameTheRunAndBytes) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators abort on oversized allocations "
+                  "instead of throwing std::bad_alloc";
+#endif
+  // 5 planes x 3 checkpoints x 4e13 replications x 8 B = 4.8e15 bytes: the
+  // size is representable, the allocation fails.
+  SimulationConfig config = SmallConfig();
+  config.replications = 40000000000000ULL;
+  const MonteCarloEngine engine(config, FairnessSpec{});
+  try {
+    (void)engine.RunTwoMiner(protocol::PowModel(0.01), 0.2);
+    FAIL() << "expected std::bad_alloc";
+  } catch (const std::bad_alloc& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("PoW Monte Carlo run: cannot allocate "
+                        "4800000000000000 bytes"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("40000000000000 replications"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(ReplicationWorkspaceTest, ReusedAcrossRangesWithIdenticalResults) {

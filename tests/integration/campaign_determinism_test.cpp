@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/execution_backend.hpp"
+#include "crypto/sha256.hpp"
 #include "sim/campaign.hpp"
 #include "sim/result_sink.hpp"
 #include "sim/scenario_registry.hpp"
@@ -205,6 +206,60 @@ TEST(CampaignDeterminismTest, TenThousandMinersByteIdenticalAcrossThreads) {
   // stake_dist rather than on the whole line.
   EXPECT_EQ(serial.csv.find("pareto:1.16,nan"), std::string::npos);
   EXPECT_NE(serial.csv.find("pareto:1.16"), std::string::npos);
+}
+
+// Population-metric output pinned by SHA-256: pareto-population (m = 100
+// and 1000, Pareto and Zipf stakes, PoW / ML-PoS / FSL-PoS) at reduced
+// replication count, and its PoW cells on the vectorized stepping path.
+// The digests were taken from the from-scratch sort measurement; the
+// carried wealth order must reproduce its Gini / HHI / Nakamoto /
+// top-decile columns byte for byte on every backend.
+struct PinnedDigests {
+  const char* csv;
+  const char* jsonl;
+};
+
+void ExpectPinnedDigests(const sim::ScenarioSpec& spec,
+                         const PinnedDigests& pinned) {
+  for (const unsigned threads : {1u, 4u}) {
+    std::ostringstream csv_out;
+    std::ostringstream jsonl_out;
+    sim::CsvSink csv(csv_out);
+    sim::JsonlSink jsonl(jsonl_out);
+    sim::CampaignOptions options;
+    options.threads = threads;
+    sim::CampaignRunner(options).Run(spec, {&csv, &jsonl});
+    EXPECT_EQ(crypto::DigestToHex(crypto::Sha256Digest(csv_out.str())),
+              pinned.csv)
+        << spec.name << " CSV at threads=" << threads;
+    EXPECT_EQ(crypto::DigestToHex(crypto::Sha256Digest(jsonl_out.str())),
+              pinned.jsonl)
+        << spec.name << " JSONL at threads=" << threads;
+  }
+}
+
+TEST(CampaignDeterminismTest, ParetoPopulationBytesArePinned) {
+  sim::ScenarioSpec spec =
+      sim::ScenarioRegistry::BuiltIn().Get("pareto-population");
+  spec.replications = 16;
+  ExpectPinnedDigests(
+      spec,
+      {"a23ff5651a908b86e31fd2972e0a69ea967bc14f2d6e7d10afa75547cd984e05",
+       "522db78aa6b7af0a38b7444f71d598ad5fb12c52f1c741954f496581b93b228a"});
+}
+
+TEST(CampaignDeterminismTest, VectorizedParetoPopulationBytesArePinned) {
+  sim::ScenarioSpec spec =
+      sim::ScenarioRegistry::BuiltIn().Get("pareto-population");
+  spec.protocols = {"pow"};
+  spec.stepping = core::SteppingMode::kVectorized;
+  // 20 replications: one full 16-lane block plus a partial one.
+  spec.replications = 20;
+  ASSERT_TRUE(spec.population_metrics);
+  ExpectPinnedDigests(
+      spec,
+      {"b68bce5eb1d351e6c334906c732bc7a5764a648fcf9d186d95a639ffd6f0937b",
+       "e87e0124401ab7db7c41bfd84d347bee552786120538f242c64d7de4772608d5"});
 }
 
 }  // namespace
